@@ -8,7 +8,7 @@
 //	         [-units N] [-modules N] [-maxsteps N] [-maxallocs N]
 //	         [-run-timeout D] [-tenant-inflight N] [-pool-units N]
 //	         [-stagetimeout D] [-traces N] [-debug-addr ADDR]
-//	         [-engine prepared|compiled|reference] [-module-opt]
+//	         [-engine compiled|reference] [-module-opt]
 //	         [-wire-version 1|2] [-drain D]
 //	         [-node NAME -peers NAME=URL,... [-vnodes N] [-gossip D]
 //	          [-hot-threshold N] [-hot-window D] [-replicas N]]
@@ -25,6 +25,10 @@
 //	GET  /stats         cache and latency metrics (JSON)
 //	GET  /metrics       Prometheus text format (per-stage latency histograms)
 //	GET  /debug/traces  recent request traces (JSON ring buffer)
+//
+// /run sessions execute on the closure-threaded compiled engine unless
+// -engine or the request's "engine" field selects the reference CST
+// walker; any other engine name is rejected with 400.
 //
 // Every run is budgeted: -maxsteps / -maxallocs cap the per-run step and
 // allocation budgets (request asks above a cap fold down to it),
@@ -86,7 +90,7 @@ func main() {
 	traces := flag.Int("traces", 64, "request traces retained for /debug/traces")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	engine := flag.String("engine", "",
-		"default execution engine: prepared, compiled, or reference (empty = prepared); per-request \"engine\" overrides")
+		"default execution engine: compiled or reference (empty = compiled); per-request \"engine\" overrides")
 	moduleOpt := flag.Bool("module-opt", false,
 		"upgrade optimizing compiles to the interprocedural tier (devirtualization, inlining, check elimination)")
 	wireVersion := flag.Int("wire-version", 0,

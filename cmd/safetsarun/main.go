@@ -3,11 +3,11 @@
 // which makes ill-formed references inexpressible), runs the residual
 // link verification, and executes static main.
 //
-//	safetsarun [-engine prepared|reference] unit.tsa
+//	safetsarun [-engine compiled|reference] unit.tsa
 //
-// The default engine is the prepared register machine (load-time
-// operand resolution); -engine=reference selects the direct CST
-// evaluator instead.
+// The default engine is the closure-threaded compiled form (load-time
+// lowering to pre-bound thunks); -engine=reference selects the direct
+// CST evaluator instead.
 package main
 
 import (
@@ -22,8 +22,8 @@ import (
 
 func main() {
 	maxSteps := flag.Int64("maxsteps", 0, "abort after this many executed instructions (0 = unlimited)")
-	engine := flag.String("engine", driver.EnginePrepared,
-		"execution engine: prepared (register machine) or reference (CST evaluator)")
+	engine := flag.String("engine", driver.EngineCompiled,
+		"execution engine: compiled (closure-threaded) or reference (CST evaluator)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: safetsarun unit.tsa")

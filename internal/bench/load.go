@@ -54,7 +54,7 @@ type LoadConfig struct {
 	// run latency per tenant — the fairness observable.
 	Tenants int
 	// Engine, when nonempty, is sent with every run request to override
-	// the server's default execution engine ("prepared", "compiled", or
+	// the server's default execution engine ("compiled" or
 	// "reference").
 	Engine string
 	// Client performs the requests (nil: 30s-timeout default).
@@ -141,12 +141,12 @@ func (cfg *LoadConfig) validate() error {
 		cfg.Tenants = 1
 	}
 	switch cfg.Engine {
-	case "", driver.EnginePrepared, driver.EngineCompiled, driver.EngineReference:
+	case "", driver.EngineCompiled, driver.EngineReference:
 	default:
 		// The server would 400 every run request; catch the typo before
 		// the replay burns its whole budget on rejected traffic.
-		return &ConfigError{Field: "Engine", Reason: fmt.Sprintf("must be %q, %q, or %q, got %q",
-			driver.EnginePrepared, driver.EngineCompiled, driver.EngineReference, cfg.Engine)}
+		return &ConfigError{Field: "Engine", Reason: fmt.Sprintf("must be %q or %q, got %q",
+			driver.EngineCompiled, driver.EngineReference, cfg.Engine)}
 	}
 	return nil
 }

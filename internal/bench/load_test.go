@@ -232,6 +232,7 @@ func TestRunLoadRejectsInvalidConfig(t *testing.T) {
 		{"zipf infinite", LoadConfig{ZipfS: math.Inf(1)}, "ZipfS"},
 		{"negative maxsteps", LoadConfig{MaxSteps: -5}, "MaxSteps"},
 		{"unknown engine", LoadConfig{Engine: "jit"}, "Engine"},
+		{"unserved prepared engine", LoadConfig{Engine: "prepared"}, "Engine"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -15,20 +15,23 @@ import (
 )
 
 // LoadedUnit is a decoded and verified module held by the loader cache,
-// together with its prepared register-machine form and its
-// closure-threaded compiled form.
+// together with its closure-threaded compiled form. The reference
+// engine walks Mod directly; the compiled engine runs Comp.
 //
-// Shared-module invariant (see interp.LoadTrusted): Mod, Prep, and Comp
-// are shared read-only between every concurrent execution session of
-// this unit. Each session builds its own class metadata, static
-// storage, and heap from a fresh rt.Env, so nothing here is ever
-// mutated after load. Preparation and backend compilation happen once
-// per distinct unit, under the same singleflight as decode+verify, no
-// matter how many sessions run it.
+// The prepared form is not kept: interp.Prepare runs only as the input
+// to interp.Compile, whose thunks copy every operand they need out of
+// it, so the prepared code arrays are garbage once load returns.
+//
+// Shared-module invariant (see interp.LoadTrusted): Mod and Comp are
+// shared read-only between every concurrent execution session of this
+// unit. Each session builds its own class metadata, static storage, and
+// heap from a fresh rt.Env, so nothing here is ever mutated after load.
+// Preparation and backend compilation happen once per distinct unit,
+// under the same singleflight as decode+verify, no matter how many
+// sessions run it.
 type LoadedUnit struct {
 	Key    Key
 	Mod    *core.Module
-	Prep   *interp.Prepared
 	Comp   *interp.Compiled
 	Instrs int
 }
@@ -165,5 +168,5 @@ func (c *LoaderCache) load(ctx context.Context, k Key, fetch func() ([]byte, err
 			Err: fmt.Errorf("codeserver: unit %s failed to compile: %w", k, err)}
 	}
 	c.m.loads.Add(1)
-	return &LoadedUnit{Key: k, Mod: mod, Prep: prep, Comp: comp, Instrs: mod.NumInstrs()}, nil
+	return &LoadedUnit{Key: k, Mod: mod, Comp: comp, Instrs: mod.NumInstrs()}, nil
 }

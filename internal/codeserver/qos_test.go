@@ -397,8 +397,9 @@ class Loop { static void main() { while (true) { } } }`}, Options{})
 }
 
 // TestMultiTenantPooledStress drives the pooled runtime with 32
-// concurrent clients split over four tenants, three engines, and the
-// stress corpus, then checks the global and per-tenant books balance.
+// concurrent clients split over four tenants, both served engines (the
+// compiled one both by default and by name), and the stress corpus,
+// then checks the global and per-tenant books balance.
 func TestMultiTenantPooledStress(t *testing.T) {
 	files, want := stressCorpus(t)
 	s := newTestServer(t, Config{})
@@ -413,7 +414,7 @@ func TestMultiTenantPooledStress(t *testing.T) {
 		keys[i] = u.Key
 	}
 
-	engines := []string{"", "prepared", "compiled", "reference"}
+	engines := []string{"", "compiled", "reference"}
 	tenants := []string{"t0", "t1", "t2", "t3"}
 	const clients = 32
 	const perClient = 12

@@ -73,9 +73,10 @@ type Config struct {
 	// remain distinct.
 	ModuleOpt bool
 	// Engine selects the default execution engine for run sessions:
-	// driver.EnginePrepared (also the "" default),
-	// driver.EngineCompiled, or driver.EngineReference. Requests may
-	// override it per session.
+	// driver.EngineCompiled (also the "" default), the closure-threaded
+	// lowering, or driver.EngineReference, the CST walker kept as the
+	// semantic oracle. Requests may override it per session; any other
+	// name is rejected.
 	Engine string
 	// NodeName identifies this server inside a fleet: it labels every
 	// Prometheus series and the stats snapshot. Empty for single-node
@@ -340,23 +341,21 @@ func (e *TenantBusyError) Error() string {
 }
 
 // resolveEngine folds the per-request engine over the server default
-// ("" falls through to the config, which itself defaults to prepared).
+// ("" falls through to the config, which itself defaults to compiled).
 func resolveEngine(cfgEngine, reqEngine string) (string, error) {
 	e := reqEngine
 	if e == "" {
 		e = cfgEngine
 	}
 	switch e {
-	case "", driver.EnginePrepared:
-		return driver.EnginePrepared, nil
-	case driver.EngineCompiled:
+	case "", driver.EngineCompiled:
 		return driver.EngineCompiled, nil
 	case driver.EngineReference:
 		return driver.EngineReference, nil
 	}
 	return "", &driver.Error{Kind: driver.KindParse,
-		Err: fmt.Errorf("codeserver: unknown engine %q (want %q, %q, or %q)",
-			e, driver.EnginePrepared, driver.EngineCompiled, driver.EngineReference)}
+		Err: fmt.Errorf("codeserver: unknown engine %q (want %q or %q)",
+			e, driver.EngineCompiled, driver.EngineReference)}
 }
 
 // clampBudget folds a per-request budget over the server cap: requests
@@ -381,7 +380,8 @@ type RunOptions struct {
 	// the server caps (<= 0 requests the cap itself).
 	MaxSteps  int64
 	MaxAllocs int64
-	// Engine overrides the server's default evaluator ("" keeps it).
+	// Engine overrides the server's default evaluator: "compiled" or
+	// "reference" ("" keeps the default).
 	Engine string
 	// Tenant is the accounting identity ("" folds to DefaultTenant).
 	Tenant string
@@ -400,11 +400,11 @@ func (s *Server) RunUnitEngine(ctx context.Context, k Key, maxSteps int64, engin
 }
 
 // RunUnitOpts executes the unit's main in an isolated session: the
-// decoded module and its prepared and compiled forms come from the
-// loader cache (shared read-only), while the class metadata, statics,
-// and heap are per-session, so concurrent sessions cannot observe each
-// other. When the warm-session pool holds a snapshot for (unit, engine)
-// and the request's budgets admit it, the session is cloned from the
+// decoded module and its compiled form come from the loader cache
+// (shared read-only), while the class metadata, statics, and heap are
+// per-session, so concurrent sessions cannot observe each other. When
+// the warm-session pool holds a snapshot for (unit, engine) and the
+// request's budgets admit it, the session is cloned from the
 // post-static-init snapshot instead of re-running the initializers —
 // byte-exact with a fresh session by the Snapshot contract. Guest
 // failures (uncaught exceptions, budget kills) are reported inside
@@ -499,14 +499,11 @@ func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunRe
 			s.m.poolHits.Add(1)
 		}
 	} else {
-		switch engine {
-		case driver.EnginePrepared:
-			l, err = interp.LoadTrustedDeferred(lu.Mod, lu.Prep, nil, env)
-		case driver.EngineCompiled:
-			l, err = interp.LoadTrustedDeferred(lu.Mod, nil, lu.Comp, env)
-		default:
-			l, err = interp.LoadTrustedDeferred(lu.Mod, nil, nil, env)
+		var comp *interp.Compiled
+		if engine == driver.EngineCompiled {
+			comp = lu.Comp
 		}
+		l, err = interp.LoadTrustedDeferred(lu.Mod, nil, comp, env)
 		if err == nil {
 			err = l.RunStaticInit()
 			if err == nil && s.sessions != nil {
@@ -701,7 +698,8 @@ type RunRequest struct {
 	MaxSteps  int64 `json:"max_steps"`
 	MaxAllocs int64 `json:"max_allocs"`
 	// Engine optionally overrides the server's default evaluator for
-	// this session: "prepared", "compiled", or "reference".
+	// this session: "compiled" or "reference"; any other name is a 400
+	// with kind "parse".
 	Engine string `json:"engine,omitempty"`
 	// Tenant is the accounting identity of the session; empty falls
 	// back to the TenantHeader request header, then DefaultTenant.

@@ -177,6 +177,49 @@ class Bad { static void main() { int x = "not an int"; } }`}})
 	resp.Body.Close()
 }
 
+// TestHTTPRunServesCompiledEngine: a /run that names no engine executes
+// on the compiled engine, so its warm-pool snapshot lands under
+// (hash, compiled). The prepared register machine is an oracle-only
+// engine: naming it, per request or as the server default, is rejected
+// like any other unknown engine.
+func TestHTTPRunServesCompiledEngine(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp := postJSON(t, ts.URL+"/compile", CompileRequest{Files: helloFiles(), Optimize: true})
+	cr := decodeBody[CompileResponse](t, resp)
+	k, err := ParseKey(cr.Hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp = postJSON(t, ts.URL+"/run/"+cr.Hash, RunRequest{})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("default-engine run: status %d", resp.StatusCode)
+	}
+	if rr := decodeBody[RunResult](t, resp); !rr.OK || rr.Output != "hello, 42\n" {
+		t.Fatalf("default-engine run result %+v", rr)
+	}
+	if s.sessions.Get(k, driver.EngineCompiled) == nil {
+		t.Errorf("default-engine run left no snapshot under (hash, %s)", driver.EngineCompiled)
+	}
+	if n := s.sessions.Len(); n != 1 {
+		t.Errorf("warm pool holds %d snapshots, want 1", n)
+	}
+
+	resp = postJSON(t, ts.URL+"/run/"+cr.Hash, RunRequest{Engine: driver.EnginePrepared})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("prepared engine: status %d, want 400", resp.StatusCode)
+	}
+	if er := decodeBody[ErrorResponse](t, resp); er.Kind != "parse" {
+		t.Errorf("prepared engine kind %q, want \"parse\"", er.Kind)
+	}
+	if _, err := New(Config{Engine: driver.EnginePrepared}); err == nil {
+		t.Error("server accepted prepared as its default engine")
+	}
+}
+
 func TestGuestFailureReportedInBody(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ctx := context.Background()

@@ -261,13 +261,12 @@ func TestStressMixedTraffic(t *testing.T) {
 }
 
 // TestStressEngineSplit runs 32 concurrent sessions of one cached unit
-// with the engine choice split evenly across the prepared register
-// machine, the reference evaluator, and the closure-threaded compiled
-// engine. All three engines share the single decoded+prepared+compiled
-// module, must produce identical output, and — the key accounting
-// invariant — preparation happens once per distinct unit load, never
-// once per run: the prepare-stage histogram count equals Loads (1), not
-// the number of run requests.
+// with the engine choice split evenly across the two served engines:
+// the closure-threaded compiled engine and the reference evaluator.
+// Both share the single decoded+compiled module, must produce identical
+// output, and — the key accounting invariant — preparation happens once
+// per distinct unit load, never once per run: the prepare-stage
+// histogram count equals Loads (1), not the number of run requests.
 func TestStressEngineSplit(t *testing.T) {
 	s := newTestServer(t, Config{})
 	u, ok := corpus.ByName("BigDecimal")
@@ -289,12 +288,9 @@ func TestStressEngineSplit(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			engine := driver.EnginePrepared
-			switch i % 3 {
-			case 1:
+			engine := driver.EngineCompiled
+			if i%2 == 1 {
 				engine = driver.EngineReference
-			case 2:
-				engine = driver.EngineCompiled
 			}
 			results[i], errs[i] = s.RunUnitEngine(context.Background(), unit.Key, 0, engine)
 		}(i)

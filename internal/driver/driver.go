@@ -172,7 +172,11 @@ func RunBytecode(p *bytecode.Program, maxSteps int64) (string, error) {
 	return out.String(), err
 }
 
-// Engine names accepted by RunModuleEngine and the cmd -engine flags.
+// Engine names. RunModuleEngine, the codeserver, and the cmd -engine
+// flags accept EngineCompiled (the default) and EngineReference only.
+// EnginePrepared labels the prepared register machine, which survives
+// solely as the middle engine of the differential oracles and is never
+// served.
 const (
 	EngineReference = "reference"
 	EnginePrepared  = "prepared"
@@ -193,37 +197,6 @@ func RunModuleContext(ctx context.Context, mod *core.Module, maxSteps int64) (st
 	var out bytes.Buffer
 	env := &rt.Env{Out: &out, MaxSteps: maxSteps, Interrupt: ctx.Done()}
 	l, err := interp.Load(mod, env)
-	if err != nil {
-		return out.String(), wrapKind(KindVerify, err)
-	}
-	if err := l.RunMain(); err != nil {
-		return out.String(), wrapKind(KindRuntime, err)
-	}
-	return out.String(), nil
-}
-
-// RunModulePrepared verifies, prepares, and executes a module on the
-// prepared register machine.
-func RunModulePrepared(mod *core.Module, maxSteps int64) (string, error) {
-	return RunModulePreparedContext(context.Background(), mod, maxSteps)
-}
-
-// RunModulePreparedContext is the context-aware form of
-// RunModulePrepared: verifier first, then the load-time Prepare pass
-// (under a "prepare" span), then a prepared-engine session.
-func RunModulePreparedContext(ctx context.Context, mod *core.Module, maxSteps int64) (string, error) {
-	if err := mod.Verify(core.VerifyOptions{}); err != nil {
-		return "", wrapKind(KindVerify, fmt.Errorf("interp: module rejected by verifier: %w", err))
-	}
-	_, psp := obs.Start(ctx, "prepare")
-	prep, err := interp.Prepare(mod)
-	psp.End()
-	if err != nil {
-		return "", wrapKind(KindVerify, err)
-	}
-	var out bytes.Buffer
-	env := &rt.Env{Out: &out, MaxSteps: maxSteps, Interrupt: ctx.Done()}
-	l, err := interp.LoadTrustedPrepared(mod, prep, env)
 	if err != nil {
 		return out.String(), wrapKind(KindVerify, err)
 	}
@@ -271,17 +244,15 @@ func RunModuleCompiledContext(ctx context.Context, mod *core.Module, maxSteps in
 	return out.String(), nil
 }
 
-// RunModuleEngine dispatches to the named engine: "prepared" (also the
-// default for ""), "compiled", or "reference".
+// RunModuleEngine dispatches to the named engine: "compiled" (also the
+// default for "") or "reference".
 func RunModuleEngine(ctx context.Context, mod *core.Module, maxSteps int64, engine string) (string, error) {
 	switch engine {
-	case "", EnginePrepared:
-		return RunModulePreparedContext(ctx, mod, maxSteps)
-	case EngineCompiled:
+	case "", EngineCompiled:
 		return RunModuleCompiledContext(ctx, mod, maxSteps)
 	case EngineReference:
 		return RunModuleContext(ctx, mod, maxSteps)
 	}
-	return "", wrapKind(KindParse, fmt.Errorf("unknown engine %q (want %q, %q, or %q)",
-		engine, EnginePrepared, EngineCompiled, EngineReference))
+	return "", wrapKind(KindParse, fmt.Errorf("unknown engine %q (want %q or %q)",
+		engine, EngineCompiled, EngineReference))
 }

@@ -36,17 +36,6 @@ func LoadTrustedPrepared(mod *core.Module, prep *Prepared, env *rt.Env) (*Loader
 	return l, nil
 }
 
-// RunPrepared loads a verified module with its prepared form and runs
-// the entry point on the register machine — the prepared-engine
-// counterpart of LoadTrusted + RunMain.
-func RunPrepared(mod *core.Module, prep *Prepared, env *rt.Env) error {
-	l, err := LoadTrustedPrepared(mod, prep, env)
-	if err != nil {
-		return err
-	}
-	return l.RunMain()
-}
-
 // applyMoves performs one parallel move set (the phi writes of a block
 // entry): all sources are read before any destination is written.
 func applyMoves(regs []rt.Value, mv []Move) {
