@@ -6,11 +6,10 @@
 //	benchtables -all           # everything
 //	benchtables -json out.json # every table cell + claims + per-stage
 //	                           # latency histogram summaries + the
-//	                           # three-way reference/prepared/compiled
-//	                           # run comparison + the warm-vs-cold
-//	                           # session-pool comparison + the
-//	                           # interprocedural-tier comparison as JSON
-//	                           # ("-" = stdout)
+//	                           # reference/compiled run comparison +
+//	                           # the warm-vs-cold session-pool
+//	                           # comparison + the interprocedural-tier
+//	                           # comparison as JSON ("-" = stdout)
 package main
 
 import (

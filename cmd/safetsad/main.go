@@ -8,8 +8,7 @@
 //	         [-units N] [-modules N] [-maxsteps N] [-maxallocs N]
 //	         [-run-timeout D] [-tenant-inflight N] [-pool-units N]
 //	         [-stagetimeout D] [-traces N] [-debug-addr ADDR]
-//	         [-engine compiled|reference] [-module-opt]
-//	         [-wire-version 1|2] [-drain D]
+//	         [-module-opt] [-wire-version 1|2] [-drain D]
 //	         [-node NAME -peers NAME=URL,... [-vnodes N] [-gossip D]
 //	          [-hot-threshold N] [-hot-window D] [-replicas N]]
 //
@@ -18,7 +17,7 @@
 //	POST /compile       {"files": {"Main.tj": "..."}, "optimize": true}
 //	GET  /unit/{hash}   download the encoded distribution unit
 //	POST /run/{hash}    {"max_steps": 1000000, "max_allocs": 1048576,
-//	                     "engine": "reference", "tenant": "acme"}
+//	                     "tenant": "acme"}
 //	POST /run-stream    raw wire unit in the body; decoded, verified, and
 //	                    executed function-by-function as bytes arrive
 //	                    (?max_steps=N&max_allocs=N, reference engine)
@@ -26,9 +25,9 @@
 //	GET  /metrics       Prometheus text format (per-stage latency histograms)
 //	GET  /debug/traces  recent request traces (JSON ring buffer)
 //
-// /run sessions execute on the closure-threaded compiled engine unless
-// -engine or the request's "engine" field selects the reference CST
-// walker; any other engine name is rejected with 400.
+// /run sessions execute on the closure-threaded compiled engine;
+// /run-stream sessions execute on the reference CST walker, which can
+// start before the whole unit has arrived.
 //
 // Every run is budgeted: -maxsteps / -maxallocs cap the per-run step and
 // allocation budgets (request asks above a cap fold down to it),
@@ -89,8 +88,6 @@ func main() {
 	stageTimeout := flag.Duration("stagetimeout", 30*time.Second, "per-stage compile timeout (0 = none)")
 	traces := flag.Int("traces", 64, "request traces retained for /debug/traces")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-	engine := flag.String("engine", "",
-		"default execution engine: compiled or reference (empty = compiled); per-request \"engine\" overrides")
 	moduleOpt := flag.Bool("module-opt", false,
 		"upgrade optimizing compiles to the interprocedural tier (devirtualization, inlining, check elimination)")
 	wireVersion := flag.Int("wire-version", 0,
@@ -120,7 +117,6 @@ func main() {
 		TenantMaxInFlight: *tenantInFlight,
 		PoolUnits:         *poolUnits,
 		Traces:            *traces,
-		Engine:            *engine,
 		ModuleOpt:         *moduleOpt,
 		WireVersion:       *wireVersion,
 		NodeName:          *node,

@@ -3,11 +3,10 @@
 // which makes ill-formed references inexpressible), runs the residual
 // link verification, and executes static main.
 //
-//	safetsarun [-engine compiled|reference] unit.tsa
+//	safetsarun [-maxsteps N] unit.tsa
 //
-// The default engine is the closure-threaded compiled form (load-time
-// lowering to pre-bound thunks); -engine=reference selects the direct
-// CST evaluator instead.
+// Execution uses the closure-threaded compiled engine (load-time
+// lowering to pre-bound thunks), the same engine safetsad serves.
 package main
 
 import (
@@ -22,8 +21,6 @@ import (
 
 func main() {
 	maxSteps := flag.Int64("maxsteps", 0, "abort after this many executed instructions (0 = unlimited)")
-	engine := flag.String("engine", driver.EngineCompiled,
-		"execution engine: compiled (closure-threaded) or reference (CST evaluator)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: safetsarun unit.tsa")
@@ -37,7 +34,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	out, err := driver.RunModuleEngine(context.Background(), mod, *maxSteps, *engine)
+	out, err := driver.RunModuleCompiledContext(context.Background(), mod, *maxSteps)
 	fmt.Print(out)
 	if err != nil {
 		fatal(err)

@@ -57,10 +57,9 @@ type JSONReport struct {
 	// decode, verify, prepare. Absent when the measurement run was
 	// untimed.
 	Latencies map[string]obs.LatencySummary `json:"latencies,omitempty"`
-	// RunComparison records the three-way reference/prepared/compiled
-	// execution-latency comparison over the corpus (best-of-K per engine
-	// per unit, plus the geomean speedups). Absent when the comparison
-	// was not run.
+	// RunComparison records the reference/compiled execution-latency
+	// comparison over the corpus (best-of-K per engine per unit, plus
+	// the geomean speedup). Absent when the comparison was not run.
 	RunComparison *JSONRunComparison `json:"run_comparison,omitempty"`
 	// WarmPool records the warm-session-pool comparison: cold (fresh
 	// static init) versus warm (snapshot clone) full-session latency per
@@ -158,23 +157,19 @@ type JSONWarmPool struct {
 }
 
 // JSONRunRow is the machine-readable form of one engine-comparison row.
-// "speedup" is reference-over-prepared; "compiled_speedup" is
-// prepared-over-compiled.
+// "speedup" is reference-over-compiled.
 type JSONRunRow struct {
-	Name            string  `json:"name"`
-	ReferenceNanos  int64   `json:"reference_nanos"`
-	PreparedNanos   int64   `json:"prepared_nanos"`
-	CompiledNanos   int64   `json:"compiled_nanos"`
-	Speedup         float64 `json:"speedup"`
-	CompiledSpeedup float64 `json:"compiled_speedup"`
+	Name           string  `json:"name"`
+	ReferenceNanos int64   `json:"reference_nanos"`
+	CompiledNanos  int64   `json:"compiled_nanos"`
+	Speedup        float64 `json:"speedup"`
 }
 
 // JSONRunComparison is the machine-readable engine comparison.
 type JSONRunComparison struct {
-	BestOf                 int          `json:"best_of"`
-	Rows                   []JSONRunRow `json:"rows"`
-	GeomeanSpeedup         float64      `json:"geomean_speedup"`
-	GeomeanCompiledSpeedup float64      `json:"geomean_compiled_speedup"`
+	BestOf         int          `json:"best_of"`
+	Rows           []JSONRunRow `json:"rows"`
+	GeomeanSpeedup float64      `json:"geomean_speedup"`
 }
 
 // JSONPassDelta is one row of the Figure-6-style per-pass block: total
@@ -219,8 +214,12 @@ type JSONModuleOpt struct {
 // (per-pass instruction deltas, devirtualization/inlining/check-
 // elimination counts, module-vs-intraprocedural run comparison); v8
 // added the "wire" block (v1/v2/v2+dict unit sizes vs the bytecode
-// baseline and the streaming time-to-first-instruction comparison).
-const jsonSchema = "safetsa-bench-v8"
+// baseline and the streaming time-to-first-instruction comparison); v9
+// made the run comparison two-way, because the prepared evaluator was
+// deleted: prepared_nanos, compiled_speedup and geomean_compiled_speedup
+// are gone, and "speedup"/"geomean_speedup" changed meaning from
+// reference-over-prepared to reference-over-compiled.
+const jsonSchema = "safetsa-bench-v9"
 
 // Report assembles the machine-readable report from measured rows.
 func Report(rows []Row) JSONReport {
@@ -275,7 +274,7 @@ func FormatJSON(rows []Row) ([]byte, error) {
 
 // FormatJSONTimed renders the report including the per-stage latency
 // summaries of a timed measurement run and, when non-nil, the
-// reference-vs-prepared run comparison, the warm-pool comparison, the
+// reference-vs-compiled run comparison, the warm-pool comparison, the
 // interprocedural-tier comparison, and the wire-format comparison.
 func FormatJSONTimed(rows []Row, tm *StageTimings, rc *RunComparison, wp *WarmPoolComparison, mo *ModuleOptComparison, wc *WireComparison) ([]byte, error) {
 	rep := Report(rows)
@@ -346,18 +345,15 @@ func FormatJSONTimed(rows []Row, tm *StageTimings, rc *RunComparison, wp *WarmPo
 	}
 	if rc != nil {
 		jc := &JSONRunComparison{
-			BestOf:                 rc.BestOf,
-			GeomeanSpeedup:         rc.GeomeanSpeedup,
-			GeomeanCompiledSpeedup: rc.GeomeanCompiledSpeedup,
+			BestOf:         rc.BestOf,
+			GeomeanSpeedup: rc.GeomeanSpeedup,
 		}
 		for _, r := range rc.Rows {
 			jc.Rows = append(jc.Rows, JSONRunRow{
-				Name:            r.Name,
-				ReferenceNanos:  r.ReferenceNanos,
-				PreparedNanos:   r.PreparedNanos,
-				CompiledNanos:   r.CompiledNanos,
-				Speedup:         r.Speedup,
-				CompiledSpeedup: r.CompiledSpeedup,
+				Name:           r.Name,
+				ReferenceNanos: r.ReferenceNanos,
+				CompiledNanos:  r.CompiledNanos,
+				Speedup:        r.Speedup,
 			})
 		}
 		rep.RunComparison = jc

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"safetsa/internal/codeserver"
-	"safetsa/internal/driver"
 	"safetsa/internal/obs"
 )
 
@@ -53,10 +52,6 @@ type LoadConfig struct {
 	// each run draw picks one uniformly, and the result digests
 	// run latency per tenant — the fairness observable.
 	Tenants int
-	// Engine, when nonempty, is sent with every run request to override
-	// the server's default execution engine ("compiled" or
-	// "reference").
-	Engine string
 	// Client performs the requests (nil: 30s-timeout default).
 	Client *http.Client
 }
@@ -139,14 +134,6 @@ func (cfg *LoadConfig) validate() error {
 	}
 	if cfg.Tenants == 0 {
 		cfg.Tenants = 1
-	}
-	switch cfg.Engine {
-	case "", driver.EngineCompiled, driver.EngineReference:
-	default:
-		// The server would 400 every run request; catch the typo before
-		// the replay burns its whole budget on rejected traffic.
-		return &ConfigError{Field: "Engine", Reason: fmt.Sprintf("must be %q or %q, got %q",
-			driver.EngineCompiled, driver.EngineReference, cfg.Engine)}
 	}
 	return nil
 }
@@ -370,7 +357,6 @@ func loadRun(ctx context.Context, client *http.Client, target, hash string, cfg 
 	body, err := json.Marshal(codeserver.RunRequest{
 		MaxSteps:  cfg.MaxSteps,
 		MaxAllocs: cfg.MaxAllocs,
-		Engine:    cfg.Engine,
 		Tenant:    tenant,
 	})
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 // codeserver with a fixed request quota and pins the replay contract:
 // every request is accounted, the mix approximates the configured 80/20
 // run/compile split, the run stage has a real latency distribution, and
-// the archived report is valid safetsa-bench-v8 JSON.
+// the archived report is valid safetsa-bench-v9 JSON.
 func TestRunLoadReplay(t *testing.T) {
 	srv, err := codeserver.New(codeserver.Config{})
 	if err != nil {
@@ -34,7 +34,6 @@ func TestRunLoadReplay(t *testing.T) {
 		Units:    8,
 		Tenants:  3,
 		Seed:     42,
-		Engine:   "compiled", // exercise the per-request engine override
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,8 +104,8 @@ func TestRunLoadReplay(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != "safetsa-bench-v8" {
-		t.Errorf("schema %q, want safetsa-bench-v8", rep.Schema)
+	if rep.Schema != "safetsa-bench-v9" {
+		t.Errorf("schema %q, want safetsa-bench-v9", rep.Schema)
 	}
 	if rep.Load == nil {
 		t.Fatal("report lacks the load block")
@@ -231,8 +230,6 @@ func TestRunLoadRejectsInvalidConfig(t *testing.T) {
 		{"zipf NaN", LoadConfig{ZipfS: nan}, "ZipfS"},
 		{"zipf infinite", LoadConfig{ZipfS: math.Inf(1)}, "ZipfS"},
 		{"negative maxsteps", LoadConfig{MaxSteps: -5}, "MaxSteps"},
-		{"unknown engine", LoadConfig{Engine: "jit"}, "Engine"},
-		{"unserved prepared engine", LoadConfig{Engine: "prepared"}, "Engine"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

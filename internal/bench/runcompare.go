@@ -17,31 +17,24 @@ import (
 
 // RunRow is the execution-latency comparison for one corpus unit: the
 // same optimized, round-tripped module run to completion on the
-// reference CST evaluator, the prepared register machine, and the
-// closure-threaded compiled engine. Latencies are best-of-K wall times
-// for a full session (load, static init, main); Speedup is
-// ReferenceNanos / PreparedNanos, CompiledSpeedup is
-// PreparedNanos / CompiledNanos.
+// reference CST evaluator and the closure-threaded compiled engine.
+// Latencies are best-of-K wall times for a full session (load, static
+// init, main); Speedup is ReferenceNanos / CompiledNanos.
 type RunRow struct {
-	Name            string
-	ReferenceNanos  int64
-	PreparedNanos   int64
-	CompiledNanos   int64
-	Speedup         float64
-	CompiledSpeedup float64
+	Name           string
+	ReferenceNanos int64
+	CompiledNanos  int64
+	Speedup        float64
 }
 
 // RunComparison aggregates the per-unit engine comparison over the
 // corpus. GeomeanSpeedup is the geometric mean of the per-unit
-// prepared-over-reference speedups — the headline "prepared vs
-// reference" number recorded in the BENCH_*.json trajectory.
-// GeomeanCompiledSpeedup is the corresponding compiled-over-prepared
-// geomean, the headline number for the closure-threaded backend.
+// compiled-over-reference speedups — the headline number recorded in
+// the BENCH_*.json trajectory.
 type RunComparison struct {
-	BestOf                 int
-	Rows                   []RunRow
-	GeomeanSpeedup         float64
-	GeomeanCompiledSpeedup float64
+	BestOf         int
+	Rows           []RunRow
+	GeomeanSpeedup float64
 }
 
 // runComparisonBestOf is the number of timed sessions per engine per
@@ -49,7 +42,7 @@ type RunComparison struct {
 // scheduler noise from short single-threaded runs.
 const runComparisonBestOf = 5
 
-// MeasureRunComparison times every runnable corpus unit on all three
+// MeasureRunComparison times every runnable corpus unit on both
 // engines. Each unit is compiled, optimized, and round-tripped through
 // the wire format first (so the measured module is exactly what a
 // consumer would hold), verified, prepared, and backend-compiled once,
@@ -58,7 +51,7 @@ const runComparisonBestOf = 5
 // the benchmark double as a whole-corpus equivalence check.
 func MeasureRunComparison() (*RunComparison, error) {
 	rc := &RunComparison{BestOf: runComparisonBestOf}
-	logSum, logSumCompiled := 0.0, 0.0
+	logSum := 0.0
 	for _, u := range corpus.Units() {
 		mod, _, err := driver.CompileTSASourceOpt(u.Files)
 		if err != nil {
@@ -89,15 +82,6 @@ func MeasureRunComparison() (*RunComparison, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: reference run: %w", u.Name, err)
 		}
-		prepNanos, prepOut, err := bestOf(runComparisonBestOf, func(env *rt.Env) (*interp.Loader, error) {
-			return interp.LoadTrustedPrepared(dec, prep, env)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: prepared run: %w", u.Name, err)
-		}
-		if refOut != prepOut {
-			return nil, fmt.Errorf("%s: engine outputs diverge:\n%q\nvs\n%q", u.Name, refOut, prepOut)
-		}
 		compNanos, compOut, err := bestOf(runComparisonBestOf, func(env *rt.Env) (*interp.Loader, error) {
 			return interp.LoadTrustedCompiled(dec, comp, env)
 		})
@@ -108,32 +92,27 @@ func MeasureRunComparison() (*RunComparison, error) {
 			return nil, fmt.Errorf("%s: compiled engine output diverges:\n%q\nvs\n%q", u.Name, refOut, compOut)
 		}
 
-		speedup := float64(refNanos) / float64(prepNanos)
-		compiledSpeedup := float64(prepNanos) / float64(compNanos)
+		speedup := float64(refNanos) / float64(compNanos)
 		rc.Rows = append(rc.Rows, RunRow{
-			Name:            u.Name,
-			ReferenceNanos:  refNanos,
-			PreparedNanos:   prepNanos,
-			CompiledNanos:   compNanos,
-			Speedup:         speedup,
-			CompiledSpeedup: compiledSpeedup,
+			Name:           u.Name,
+			ReferenceNanos: refNanos,
+			CompiledNanos:  compNanos,
+			Speedup:        speedup,
 		})
 		logSum += math.Log(speedup)
-		logSumCompiled += math.Log(compiledSpeedup)
 	}
 	if len(rc.Rows) > 0 {
 		rc.GeomeanSpeedup = math.Exp(logSum / float64(len(rc.Rows)))
-		rc.GeomeanCompiledSpeedup = math.Exp(logSumCompiled / float64(len(rc.Rows)))
 	}
 	return rc, nil
 }
 
-// bestOf runs k full sessions through load (one of the three engines)
-// and returns the minimum wall time plus the (identical) printed output.
-// The heap is quiesced before every timed session (as testing.B does
-// before a benchmark) so that garbage left by the previously measured
-// engine cannot bill its collection to this one — without it the
-// last-measured engine absorbs the GC assists for all three.
+// bestOf runs k full sessions through load and returns the minimum wall
+// time plus the (identical) printed output. The heap is quiesced before
+// every timed session (as testing.B does before a benchmark) so that
+// garbage left by the previously measured engine cannot bill its
+// collection to this one — without it the last-measured engine absorbs
+// the GC assists for both.
 func bestOf(k int, load func(env *rt.Env) (*interp.Loader, error)) (int64, string, error) {
 	best := int64(math.MaxInt64)
 	var out string

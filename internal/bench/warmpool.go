@@ -107,7 +107,7 @@ func MeasureWarmPool() (*WarmPoolComparison, error) {
 			return nil, fmt.Errorf("%s: compile backend: %w", u.Name, err)
 		}
 
-		snap, err := buildSnapshot(dec, prep, comp)
+		snap, err := buildSnapshot(dec, comp)
 		if err != nil {
 			return nil, fmt.Errorf("%s: snapshot: %w", u.Name, err)
 		}
@@ -155,9 +155,9 @@ func MeasureWarmPool() (*WarmPoolComparison, error) {
 
 // buildSnapshot runs static init once and freezes it, verified, exactly
 // as codeserver's pool publishes snapshots.
-func buildSnapshot(mod *core.Module, prep *interp.Prepared, comp *interp.Compiled) (*interp.Snapshot, error) {
+func buildSnapshot(mod *core.Module, comp *interp.Compiled) (*interp.Snapshot, error) {
 	var out warmInitBuf
-	l, err := interp.LoadTrustedDeferred(mod, prep, comp, &rt.Env{Out: &out})
+	l, err := interp.LoadTrustedDeferred(mod, nil, comp, &rt.Env{Out: &out})
 	if err != nil {
 		return nil, err
 	}

@@ -153,10 +153,11 @@ func TestFleetSingleCompilePerUnit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
+			unit := 0
 			for i := 0; i < 12; i++ {
-				unit := rng.Intn(units)
 				node := names[rng.Intn(len(names))]
 				if i%2 == 0 {
+					unit = rng.Intn(units)
 					body, _ := json.Marshal(codeserver.CompileRequest{Files: fleetProgram(unit)})
 					resp, err := http.Post(f.urls[node]+"/compile", "application/json", bytes.NewReader(body))
 					if err != nil {
@@ -170,6 +171,9 @@ func TestFleetSingleCompilePerUnit(t *testing.T) {
 						return
 					}
 				} else {
+					// Run the unit this worker just compiled: a run of a
+					// unit no compile has finished yet is a legitimate
+					// 404, so a random pick made the test flaky.
 					rr, _, err := fleetRun(f.urls[node], hashes[unit])
 					if err != nil {
 						errCh <- fmt.Errorf("run on %s: %w", node, err)
@@ -337,7 +341,7 @@ func TestFleetStatsGossip(t *testing.T) {
 
 // TestFleetLoadReplay is acceptance for the load generator against the
 // cluster: a zipfian 80/20 run/compile replay sprayed over all three
-// nodes completes without errors and emits a valid safetsa-bench-v8
+// nodes completes without errors and emits a valid safetsa-bench-v9
 // report with a real run-latency distribution.
 func TestFleetLoadReplay(t *testing.T) {
 	f := newFleet(t, []string{"a1", "b2", "c3"}, nil)
@@ -384,8 +388,8 @@ func TestFleetLoadReplay(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
-	if rep.Schema != "safetsa-bench-v8" {
-		t.Errorf("schema %q, want safetsa-bench-v8", rep.Schema)
+	if rep.Schema != "safetsa-bench-v9" {
+		t.Errorf("schema %q, want safetsa-bench-v9", rep.Schema)
 	}
 	if rep.Load == nil || rep.Load.Latencies["run"].P50Nanos <= 0 || rep.Load.Latencies["run"].P99Nanos <= 0 {
 		t.Errorf("archived run latencies not populated: %+v", rep.Load)

@@ -15,8 +15,8 @@ import (
 )
 
 // LoadedUnit is a decoded and verified module held by the loader cache,
-// together with its closure-threaded compiled form. The reference
-// engine walks Mod directly; the compiled engine runs Comp.
+// together with its closure-threaded compiled form. Every /run session
+// executes Comp; Mod supplies the class metadata and link checks.
 //
 // The prepared form is not kept: interp.Prepare runs only as the input
 // to interp.Compile, whose thunks copy every operand they need out of

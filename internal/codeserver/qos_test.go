@@ -397,8 +397,7 @@ class Loop { static void main() { while (true) { } } }`}, Options{})
 }
 
 // TestMultiTenantPooledStress drives the pooled runtime with 32
-// concurrent clients split over four tenants, both served engines (the
-// compiled one both by default and by name), and the stress corpus,
+// concurrent clients split over four tenants and the stress corpus,
 // then checks the global and per-tenant books balance.
 func TestMultiTenantPooledStress(t *testing.T) {
 	files, want := stressCorpus(t)
@@ -414,7 +413,6 @@ func TestMultiTenantPooledStress(t *testing.T) {
 		keys[i] = u.Key
 	}
 
-	engines := []string{"", "compiled", "reference"}
 	tenants := []string{"t0", "t1", "t2", "t3"}
 	const clients = 32
 	const perClient = 12
@@ -427,7 +425,6 @@ func TestMultiTenantPooledStress(t *testing.T) {
 			for i := 0; i < perClient; i++ {
 				ui := (c + i) % len(keys)
 				res, err := s.RunUnitOpts(ctx, keys[ui], RunOptions{
-					Engine: engines[(c+i)%len(engines)],
 					Tenant: tenants[c%len(tenants)],
 				})
 				if err != nil {

@@ -56,10 +56,10 @@ type Config struct {
 	// run beyond the bound is rejected with a TenantBusyError (HTTP 429
 	// + Retry-After) before any work happens (0: unlimited).
 	TenantMaxInFlight int
-	// PoolUnits bounds the warm-session pool: per-(unit, engine)
-	// snapshots of post-static-init state cloned into later sessions so
-	// static init runs once per unit, not once per request (0: default
-	// 256; negative: pool disabled, every session runs init fresh).
+	// PoolUnits bounds the warm-session pool: per-unit snapshots of
+	// post-static-init state cloned into later sessions so static init
+	// runs once per unit, not once per request (0: default 256;
+	// negative: pool disabled, every session runs init fresh).
 	PoolUnits int
 	// MaxSourceBytes bounds the /compile request body (<=0: 8 MiB).
 	MaxSourceBytes int64
@@ -72,12 +72,6 @@ type Config struct {
 	// tier participates in the content hash, so units built either way
 	// remain distinct.
 	ModuleOpt bool
-	// Engine selects the default execution engine for run sessions:
-	// driver.EngineCompiled (also the "" default), the closure-threaded
-	// lowering, or driver.EngineReference, the CST walker kept as the
-	// semantic oracle. Requests may override it per session; any other
-	// name is rejected.
-	Engine string
 	// NodeName identifies this server inside a fleet: it labels every
 	// Prometheus series and the stats snapshot. Empty for single-node
 	// deployments (no label, historical wire shape).
@@ -135,9 +129,6 @@ func New(cfg Config) (*Server, error) {
 	case 0, 1, 2:
 	default:
 		return nil, fmt.Errorf("codeserver: unknown wire version %d (want 1 or 2)", cfg.WireVersion)
-	}
-	if _, err := resolveEngine(cfg.Engine, ""); err != nil {
-		return nil, err
 	}
 	m := &Metrics{node: cfg.NodeName}
 	store, err := NewStore(cfg.CacheDir, cfg.MaxUnits, m)
@@ -340,24 +331,6 @@ func (e *TenantBusyError) Error() string {
 	return fmt.Sprintf("codeserver: tenant %q at its in-flight run limit (%d)", e.Tenant, e.Limit)
 }
 
-// resolveEngine folds the per-request engine over the server default
-// ("" falls through to the config, which itself defaults to compiled).
-func resolveEngine(cfgEngine, reqEngine string) (string, error) {
-	e := reqEngine
-	if e == "" {
-		e = cfgEngine
-	}
-	switch e {
-	case "", driver.EngineCompiled:
-		return driver.EngineCompiled, nil
-	case driver.EngineReference:
-		return driver.EngineReference, nil
-	}
-	return "", &driver.Error{Kind: driver.KindParse,
-		Err: fmt.Errorf("codeserver: unknown engine %q (want %q or %q)",
-			e, driver.EngineCompiled, driver.EngineReference)}
-}
-
 // clampBudget folds a per-request budget over the server cap: requests
 // may ask for less than the cap but never more, and a request that asks
 // for nothing (<= 0) gets the cap itself (or unlimited when the server
@@ -372,49 +345,36 @@ func clampBudget(req, cap int64) int64 {
 	return req
 }
 
-// RunOptions selects the budgets, engine, and accounting identity of
-// one run session. The zero value means: server-default budgets and
-// engine, tenant DefaultTenant.
+// RunOptions selects the budgets and accounting identity of one run
+// session. The zero value means: server-default budgets, tenant
+// DefaultTenant.
 type RunOptions struct {
 	// MaxSteps / MaxAllocs request per-run budgets; both are clamped to
 	// the server caps (<= 0 requests the cap itself).
 	MaxSteps  int64
 	MaxAllocs int64
-	// Engine overrides the server's default evaluator: "compiled" or
-	// "reference" ("" keeps the default).
-	Engine string
 	// Tenant is the accounting identity ("" folds to DefaultTenant).
 	Tenant string
 }
 
-// RunUnit executes the unit's main on the server's default engine; see
+// RunUnit executes the unit's main with default budgets and tenant; see
 // RunUnitOpts.
 func (s *Server) RunUnit(ctx context.Context, k Key, maxSteps int64) (RunResult, error) {
 	return s.RunUnitOpts(ctx, k, RunOptions{MaxSteps: maxSteps})
 }
 
-// RunUnitEngine executes the unit's main with an explicit engine; see
-// RunUnitOpts.
-func (s *Server) RunUnitEngine(ctx context.Context, k Key, maxSteps int64, engine string) (RunResult, error) {
-	return s.RunUnitOpts(ctx, k, RunOptions{MaxSteps: maxSteps, Engine: engine})
-}
-
-// RunUnitOpts executes the unit's main in an isolated session: the
-// decoded module and its compiled form come from the loader cache
-// (shared read-only), while the class metadata, statics, and heap are
-// per-session, so concurrent sessions cannot observe each other. When
-// the warm-session pool holds a snapshot for (unit, engine) and the
-// request's budgets admit it, the session is cloned from the
+// RunUnitOpts executes the unit's main in an isolated session on the
+// compiled engine: the decoded module and its compiled form come from
+// the loader cache (shared read-only), while the class metadata,
+// statics, and heap are per-session, so concurrent sessions cannot
+// observe each other. When the warm-session pool holds a snapshot for
+// the unit and the request's budgets admit it, the session is cloned from the
 // post-static-init snapshot instead of re-running the initializers —
 // byte-exact with a fresh session by the Snapshot contract. Guest
 // failures (uncaught exceptions, budget kills) are reported inside
 // RunResult, not as an error; a tenant over its in-flight bound gets a
 // *TenantBusyError before any work happens.
 func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunResult, error) {
-	engine, err := resolveEngine(s.cfg.Engine, opts.Engine)
-	if err != nil {
-		return RunResult{}, err
-	}
 	tenant := opts.Tenant
 	if tenant == "" {
 		tenant = DefaultTenant
@@ -440,7 +400,7 @@ func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunRe
 	maxAllocs := clampBudget(opts.MaxAllocs, s.cfg.MaxAllocs)
 	var snap *interp.Snapshot
 	if s.sessions != nil {
-		if snap = s.sessions.Get(k, engine); snap != nil && !snap.Admits(maxSteps, maxAllocs) {
+		if snap = s.sessions.Get(k); snap != nil && !snap.Admits(maxSteps, maxAllocs) {
 			// The request's budgets would have killed static init; a
 			// clone cannot reproduce that mid-init death, so run fresh.
 			s.m.poolDeclines.Add(1)
@@ -448,6 +408,7 @@ func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunRe
 		}
 	}
 	var lu *LoadedUnit
+	var err error
 	if snap == nil {
 		lctx, lsp := obs.Start(ctx, "load")
 		lu, err = s.loader.GetOrLoad(lctx, k, func() ([]byte, error) {
@@ -499,15 +460,11 @@ func (s *Server) RunUnitOpts(ctx context.Context, k Key, opts RunOptions) (RunRe
 			s.m.poolHits.Add(1)
 		}
 	} else {
-		var comp *interp.Compiled
-		if engine == driver.EngineCompiled {
-			comp = lu.Comp
-		}
-		l, err = interp.LoadTrustedDeferred(lu.Mod, nil, comp, env)
+		l, err = interp.LoadTrustedDeferred(lu.Mod, nil, lu.Comp, env)
 		if err == nil {
 			err = l.RunStaticInit()
 			if err == nil && s.sessions != nil {
-				s.sessions.Offer(k, engine, l, out.Bytes())
+				s.sessions.Offer(k, l, out.Bytes())
 			}
 		}
 	}
@@ -567,11 +524,6 @@ const maxStreamUnitBytes = 64 << 20
 // or the loader tier. Only after Wait returns nil are the exact bytes
 // cached under their wire address.
 func (s *Server) RunUnitStream(ctx context.Context, body io.Reader, opts RunOptions) (RunStreamResult, error) {
-	if opts.Engine != "" && opts.Engine != driver.EngineReference {
-		return RunStreamResult{}, &driver.Error{Kind: driver.KindParse,
-			Err: fmt.Errorf("codeserver: streaming runs use the %q engine, not %q",
-				driver.EngineReference, opts.Engine)}
-	}
 	tenant := opts.Tenant
 	if tenant == "" {
 		tenant = DefaultTenant
@@ -697,10 +649,6 @@ type CompileResponse struct {
 type RunRequest struct {
 	MaxSteps  int64 `json:"max_steps"`
 	MaxAllocs int64 `json:"max_allocs"`
-	// Engine optionally overrides the server's default evaluator for
-	// this session: "compiled" or "reference"; any other name is a 400
-	// with kind "parse".
-	Engine string `json:"engine,omitempty"`
 	// Tenant is the accounting identity of the session; empty falls
 	// back to the TenantHeader request header, then DefaultTenant.
 	Tenant string `json:"tenant,omitempty"`
@@ -849,7 +797,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	res, err := s.RunUnitOpts(r.Context(), k, RunOptions{
 		MaxSteps:  req.MaxSteps,
 		MaxAllocs: req.MaxAllocs,
-		Engine:    req.Engine,
 		Tenant:    req.Tenant,
 	})
 	if err != nil {

@@ -177,12 +177,12 @@ class Bad { static void main() { int x = "not an int"; } }`}})
 	resp.Body.Close()
 }
 
-// TestHTTPRunServesCompiledEngine: a /run that names no engine executes
-// on the compiled engine, so its warm-pool snapshot lands under
-// (hash, compiled). The prepared register machine is an oracle-only
-// engine: naming it, per request or as the server default, is rejected
-// like any other unknown engine.
-func TestHTTPRunServesCompiledEngine(t *testing.T) {
+// TestHTTPRunIgnoresEngineField: /run always executes on the compiled
+// engine. An "engine" key in the body is an unknown field like any
+// other: whatever it names, the run answers 200 with the same result as
+// an engine-less body, and the unit keeps exactly one warm-pool
+// snapshot.
+func TestHTTPRunIgnoresEngineField(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -194,29 +194,28 @@ func TestHTTPRunServesCompiledEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp = postJSON(t, ts.URL+"/run/"+cr.Hash, RunRequest{})
+	resp = postJSON(t, ts.URL+"/run/"+cr.Hash, map[string]any{})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("default-engine run: status %d", resp.StatusCode)
+		t.Fatalf("engine-less run: status %d", resp.StatusCode)
 	}
-	if rr := decodeBody[RunResult](t, resp); !rr.OK || rr.Output != "hello, 42\n" {
-		t.Fatalf("default-engine run result %+v", rr)
+	want := decodeBody[RunResult](t, resp)
+	if !want.OK || want.Output != "hello, 42\n" {
+		t.Fatalf("engine-less run result %+v", want)
 	}
-	if s.sessions.Get(k, driver.EngineCompiled) == nil {
-		t.Errorf("default-engine run left no snapshot under (hash, %s)", driver.EngineCompiled)
+	for _, engine := range []string{"reference", "prepared"} {
+		resp = postJSON(t, ts.URL+"/run/"+cr.Hash, map[string]any{"engine": engine})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("engine %q: status %d, want 200", engine, resp.StatusCode)
+		}
+		if got := decodeBody[RunResult](t, resp); got != want {
+			t.Errorf("engine %q: result %+v, want %+v", engine, got, want)
+		}
+	}
+	if s.sessions.Get(k) == nil {
+		t.Error("runs left no warm-pool snapshot for the unit")
 	}
 	if n := s.sessions.Len(); n != 1 {
 		t.Errorf("warm pool holds %d snapshots, want 1", n)
-	}
-
-	resp = postJSON(t, ts.URL+"/run/"+cr.Hash, RunRequest{Engine: driver.EnginePrepared})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("prepared engine: status %d, want 400", resp.StatusCode)
-	}
-	if er := decodeBody[ErrorResponse](t, resp); er.Kind != "parse" {
-		t.Errorf("prepared engine kind %q, want \"parse\"", er.Kind)
-	}
-	if _, err := New(Config{Engine: driver.EnginePrepared}); err == nil {
-		t.Error("server accepted prepared as its default engine")
 	}
 }
 

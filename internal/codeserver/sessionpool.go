@@ -7,11 +7,11 @@ import (
 	"safetsa/internal/interp"
 )
 
-// sessionPool is the warm-session pool: per-(unit, engine) snapshots of
-// post-static-init interpreter state (interp.Snapshot), built lazily by
-// the first successful run of a unit and cloned for every later run, so
-// the static initializers execute once per unit per engine instead of
-// once per request. Entries are LRU-bounded; a snapshot is only
+// sessionPool is the warm-session pool: per-unit snapshots of
+// post-static-init compiled-engine state (interp.Snapshot), built lazily
+// by the first successful /run of a unit and cloned for every later
+// run, so the static initializers execute once per unit instead of once
+// per request. Entries are LRU-bounded; a snapshot is only
 // published after Snapshot.Verify proves a probe clone reproduces the
 // frozen heap checksum, init output, and budget drain byte-exactly.
 //
@@ -23,37 +23,31 @@ import (
 type sessionPool struct {
 	mu      sync.Mutex
 	max     int
-	entries map[poolKey]*poolEntry
+	entries map[Key]*poolEntry
 	order   *list.List // front = most recently used
 	m       *Metrics
 }
 
-type poolKey struct {
-	k      Key
-	engine string
-}
-
 type poolEntry struct {
 	snap *interp.Snapshot
-	el   *list.Element // value: poolKey
+	el   *list.Element // value: Key
 }
 
 func newSessionPool(max int, m *Metrics) *sessionPool {
 	return &sessionPool{
 		max:     max,
-		entries: make(map[poolKey]*poolEntry),
+		entries: make(map[Key]*poolEntry),
 		order:   list.New(),
 		m:       m,
 	}
 }
 
-// Get returns the warm snapshot for (k, engine), bumping its recency,
-// or nil when the pool holds none.
-func (p *sessionPool) Get(k Key, engine string) *interp.Snapshot {
-	key := poolKey{k: k, engine: engine}
+// Get returns the warm snapshot for k, bumping its recency, or nil when
+// the pool holds none.
+func (p *sessionPool) Get(k Key) *interp.Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	e, ok := p.entries[key]
+	e, ok := p.entries[k]
 	if !ok {
 		return nil
 	}
@@ -61,23 +55,22 @@ func (p *sessionPool) Get(k Key, engine string) *interp.Snapshot {
 	return e.snap
 }
 
-// has reports whether (k, engine) is already pooled, so the build path
-// can skip the snapshot+verify work when it would be discarded anyway.
-func (p *sessionPool) has(key poolKey) bool {
+// has reports whether k is already pooled, so the build path can skip
+// the snapshot+verify work when it would be discarded anyway.
+func (p *sessionPool) has(k Key) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	_, ok := p.entries[key]
+	_, ok := p.entries[k]
 	return ok
 }
 
 // Offer snapshots a session that just finished static init and, when no
-// snapshot for (k, engine) exists yet, verifies and publishes it.
+// snapshot for k exists yet, verifies and publishes it.
 // initOut is the output the session printed during init. Racing offers
 // are benign: both build identical snapshots (the clone machinery is
 // deterministic) and the first insert wins.
-func (p *sessionPool) Offer(k Key, engine string, l *interp.Loader, initOut []byte) {
-	key := poolKey{k: k, engine: engine}
-	if p.has(key) {
+func (p *sessionPool) Offer(k Key, l *interp.Loader, initOut []byte) {
+	if p.has(k) {
 		return
 	}
 	snap, err := l.Snapshot(initOut)
@@ -94,7 +87,7 @@ func (p *sessionPool) Offer(k Key, engine string, l *interp.Loader, initOut []by
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.entries[key]; ok {
+	if _, ok := p.entries[k]; ok {
 		return // lost the race; the published twin is identical
 	}
 	for p.max > 0 && len(p.entries) >= p.max {
@@ -102,13 +95,13 @@ func (p *sessionPool) Offer(k Key, engine string, l *interp.Loader, initOut []by
 		if back == nil {
 			break
 		}
-		old := back.Value.(poolKey)
+		old := back.Value.(Key)
 		p.order.Remove(back)
 		delete(p.entries, old)
 		p.m.poolEvictions.Add(1)
 	}
-	el := p.order.PushFront(key)
-	p.entries[key] = &poolEntry{snap: snap, el: el}
+	el := p.order.PushFront(k)
+	p.entries[k] = &poolEntry{snap: snap, el: el}
 	p.m.poolBuilds.Add(1)
 }
 

@@ -259,70 +259,3 @@ func TestStressMixedTraffic(t *testing.T) {
 		t.Errorf("unexpected budget kills under clean stress: %+v", st)
 	}
 }
-
-// TestStressEngineSplit runs 32 concurrent sessions of one cached unit
-// with the engine choice split evenly across the two served engines:
-// the closure-threaded compiled engine and the reference evaluator.
-// Both share the single decoded+compiled module, must produce identical
-// output, and — the key accounting invariant — preparation happens once
-// per distinct unit load, never once per run: the prepare-stage
-// histogram count equals Loads (1), not the number of run requests.
-func TestStressEngineSplit(t *testing.T) {
-	s := newTestServer(t, Config{})
-	u, ok := corpus.ByName("BigDecimal")
-	if !ok {
-		t.Fatal("corpus unit missing")
-	}
-	unit, _, err := s.CompileUnit(context.Background(), u.Files, Options{Optimize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const sessions = 32
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	results := make([]RunResult, sessions)
-	errs := make([]error, sessions)
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			engine := driver.EngineCompiled
-			if i%2 == 1 {
-				engine = driver.EngineReference
-			}
-			results[i], errs[i] = s.RunUnitEngine(context.Background(), unit.Key, 0, engine)
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-
-	for i := 0; i < sessions; i++ {
-		if errs[i] != nil {
-			t.Fatalf("session %d: %v", i, errs[i])
-		}
-		if !results[i].OK {
-			t.Fatalf("session %d failed: %s", i, results[i].Error)
-		}
-		if results[i].Output != results[0].Output {
-			t.Fatalf("session %d (engine split) output diverged:\n%q\nvs\n%q",
-				i, results[i].Output, results[0].Output)
-		}
-	}
-
-	st := s.Stats()
-	if st.Loads != 1 {
-		t.Errorf("module loaded %d times, want 1", st.Loads)
-	}
-	if st.Runs != sessions {
-		t.Errorf("runs = %d, want %d", st.Runs, sessions)
-	}
-	if st.PrepareLatency.Count != st.Loads {
-		t.Errorf("prepare histogram count %d != loads %d (preparation must be per-load)",
-			st.PrepareLatency.Count, st.Loads)
-	}
-	if st.PrepareLatency.Count == st.Runs {
-		t.Errorf("prepare histogram count %d tracks runs, not loads", st.PrepareLatency.Count)
-	}
-}

@@ -172,14 +172,11 @@ func RunBytecode(p *bytecode.Program, maxSteps int64) (string, error) {
 	return out.String(), err
 }
 
-// Engine names. RunModuleEngine, the codeserver, and the cmd -engine
-// flags accept EngineCompiled (the default) and EngineReference only.
-// EnginePrepared labels the prepared register machine, which survives
-// solely as the middle engine of the differential oracles and is never
-// served.
+// Engine names label the two execution engines in oracle and test
+// reports: EngineCompiled is the closure-threaded engine every /run
+// serves, EngineReference the CST walker kept as the semantic oracle.
 const (
 	EngineReference = "reference"
-	EnginePrepared  = "prepared"
 	EngineCompiled  = "compiled"
 )
 
@@ -206,16 +203,12 @@ func RunModuleContext(ctx context.Context, mod *core.Module, maxSteps int64) (st
 	return out.String(), nil
 }
 
-// RunModuleCompiled verifies, prepares, compiles, and executes a module
-// on the closure-threaded engine.
-func RunModuleCompiled(mod *core.Module, maxSteps int64) (string, error) {
-	return RunModuleCompiledContext(context.Background(), mod, maxSteps)
-}
-
-// RunModuleCompiledContext is the context-aware form of
-// RunModuleCompiled: verifier first, then the load-time Prepare pass
-// (under a "prepare" span), the closure-fusing Compile pass (under a
-// "compile_backend" span), then a compiled-engine session.
+// RunModuleCompiledContext verifies, prepares, compiles, and executes a
+// module on the closure-threaded engine: verifier first, then the
+// load-time Prepare pass (under a "prepare" span), the closure-fusing
+// Compile pass (under a "compile_backend" span), then a compiled-engine
+// session. Cancelling ctx interrupts the guest at the next step-budget
+// check.
 func RunModuleCompiledContext(ctx context.Context, mod *core.Module, maxSteps int64) (string, error) {
 	if err := mod.Verify(core.VerifyOptions{}); err != nil {
 		return "", wrapKind(KindVerify, fmt.Errorf("interp: module rejected by verifier: %w", err))
@@ -242,17 +235,4 @@ func RunModuleCompiledContext(ctx context.Context, mod *core.Module, maxSteps in
 		return out.String(), wrapKind(KindRuntime, err)
 	}
 	return out.String(), nil
-}
-
-// RunModuleEngine dispatches to the named engine: "compiled" (also the
-// default for "") or "reference".
-func RunModuleEngine(ctx context.Context, mod *core.Module, maxSteps int64, engine string) (string, error) {
-	switch engine {
-	case "", EngineCompiled:
-		return RunModuleCompiledContext(ctx, mod, maxSteps)
-	case EngineReference:
-		return RunModuleContext(ctx, mod, maxSteps)
-	}
-	return "", wrapKind(KindParse, fmt.Errorf("unknown engine %q (want %q or %q)",
-		engine, EngineCompiled, EngineReference))
 }

@@ -7,8 +7,8 @@ import (
 	"safetsa/internal/rt"
 )
 
-// This file is the closure-threading backend, the third execution
-// engine: Compile fuses each PreparedInst of an already-prepared module
+// This file is the closure-threading backend, the engine safetsad
+// serves: Compile fuses each PreparedInst of an already-prepared module
 // into a pre-bound Go closure (a thunk) that performs the instruction
 // and returns the next pc, so the dispatch loop is a bare indirect call
 // chain — no opcode switch, no per-step field decoding. Operand
@@ -20,18 +20,19 @@ import (
 // Compile runs strictly after Prepare (which runs strictly after the
 // verifier) and repeats no verification: the prepared form is already a
 // faithful lowering of a verified module, and re-checking it would buy
-// nothing — the thunks trust the same invariants runPrepared trusts.
+// nothing — the thunks trust the invariants Prepare established.
 // Like Prepare, however, Compile bounds-checks every table index it
 // bakes into a closure (registers, jump targets, methods, types),
 // returning an error — never panicking — on a reference only a
 // hand-built or corrupted prepared form could contain.
 //
 // Budget parity is structural: every thunk lowered from an opcode below
-// pCtrl calls rt.Env.Step() before any side effect, exactly where
-// runPrepared charges, and allocation charges flow through the same
-// Env.NewObject/NewArray/Concat entry points — so step kills, alloc
-// kills, and interrupts land on the identical instruction in all three
-// engines, which the three-way differential oracle checks bit-exactly.
+// pCtrl calls rt.Env.Step() before any side effect, at the point where
+// the reference CST walker charges the instruction (or loop iteration)
+// that opcode was lowered from, and allocation charges flow through the
+// same Env.NewObject/NewArray/Concat entry points — so step kills, alloc
+// kills, and interrupts land on the identical instruction in both
+// engines, which the engine differential oracle checks bit-exactly.
 //
 // Shared-module invariant: a Compiled, like the Prepared it was built
 // from, is immutable and session-free — thunks never capture the
@@ -80,8 +81,7 @@ type cframe struct {
 
 // craise raises exception value v from a compiled site: into the
 // precomputed handler (applying the exception edge's phi moves and
-// returning the handler pc) or out of the function as rt.Thrown — the
-// closure-threaded mirror of praise.
+// returning the handler pc) or out of the function as rt.Thrown.
 func (fr *cframe) craise(rs *RaiseSite, v rt.Value) int32 {
 	if rs == nil {
 		panic(rt.Thrown{Val: v})
@@ -89,6 +89,28 @@ func (fr *cframe) craise(rs *RaiseSite, v rt.Value) int32 {
 	applyMoves(fr.regs, rs.Moves)
 	fr.caught = v
 	return rs.Target
+}
+
+// applyMoves performs one parallel move set (the phi writes of a block
+// entry): all sources are read before any destination is written.
+func applyMoves(regs []rt.Value, mv []Move) {
+	switch len(mv) {
+	case 0:
+	case 1:
+		regs[mv[0].Dst] = regs[mv[0].Src]
+	default:
+		var buf [8]rt.Value
+		tmp := buf[:0]
+		if len(mv) > len(buf) {
+			tmp = make([]rt.Value, 0, len(mv))
+		}
+		for _, m := range mv {
+			tmp = append(tmp, regs[m.Src])
+		}
+		for i, m := range mv {
+			regs[m.Dst] = tmp[i]
+		}
+	}
 }
 
 // Compile fuses a prepared module into closure-threaded code. prep must
@@ -332,7 +354,7 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 			return nil, err
 		}
 		str := in.Str
-		// A fresh *rt.Str per execution, like the other two engines —
+		// A fresh *rt.Str per execution, like the reference walker —
 		// reference identity (PREq) must not observe compiled-form
 		// sharing.
 		return func(fr *cframe) int32 {
@@ -723,7 +745,7 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 
 	case PLoopStep:
 		// The whole instruction is the step charge: one unit of budget
-		// per loop iteration, same point as the other two engines.
+		// per loop iteration, same point as the reference walker.
 		return func(fr *cframe) int32 {
 			fr.env.Step()
 			return next
@@ -847,7 +869,7 @@ func (c *ccomp) thunk(in *PreparedInst, next int32) (cthunk, error) {
 
 // callThunk fuses a PCall/PDispatch. The static MethodRef is pre-bound
 // (the module is immutable); dispatch re-resolves through the
-// receiver's vtable exactly like pcall.
+// receiver's vtable exactly like the reference walker's OpXDispatch.
 func (c *ccomp) callThunk(in *PreparedInst, next int32) (cthunk, error) {
 	if in.A < 0 || int(in.A) >= len(c.mod.Methods) {
 		return nil, fmt.Errorf("method index %d out of range", in.A)

@@ -23,18 +23,15 @@ type sessionResult struct {
 }
 
 // runSession executes mod once on the requested engine with the given
-// budgets. prep and comp are reused across sessions (they are
-// immutable), matching how the codeserver shares one prepared/compiled
-// form among all /run sessions.
-func runSession(t *testing.T, mod *core.Module, prep *interp.Prepared, comp *interp.Compiled, engine string, maxSteps, maxAlloc int64) sessionResult {
+// budgets. comp is reused across sessions (it is immutable), matching
+// how the codeserver shares one compiled form among all /run sessions.
+func runSession(t *testing.T, mod *core.Module, comp *interp.Compiled, engine string, maxSteps, maxAlloc int64) sessionResult {
 	t.Helper()
 	var out bytes.Buffer
 	env := &rt.Env{Out: &out, MaxSteps: maxSteps, MaxAlloc: maxAlloc}
 	var l *interp.Loader
 	var err error
 	switch engine {
-	case driver.EnginePrepared:
-		l, err = interp.LoadTrustedPrepared(mod, prep, env)
 	case driver.EngineCompiled:
 		l, err = interp.LoadTrustedCompiled(mod, comp, env)
 	default:
@@ -91,12 +88,12 @@ func compareSessions(t *testing.T, engine string, ref, got sessionResult) {
 	}
 }
 
-// excStormSrc is a dedicated exception-heavy row for the three-way
+// excStormSrc is a dedicated exception-heavy row for the engine
 // differential: every trap kind the runtime can raise (arithmetic,
 // bounds, null, explicit throw), caught at varying depths, plus
 // rethrow across recursive frames — so the exception-edge phi moves and
-// the protected-call recovery paths of all three engines are compared
-// under full budgets and under mid-run kills.
+// the protected-call recovery paths of both engines are compared under
+// full budgets and under mid-run kills.
 const excStormSrc = `
 class ExcStorm {
     int depth;
@@ -191,8 +188,8 @@ class ExcDie {
 `
 
 // TestEngineParityExceptionHeavy is the satellite coverage for the
-// exception-heavy rows: both programs above run on all three engines
-// under a full budget, a step budget at half the real drain, and an
+// exception-heavy rows: both programs above run on both engines under
+// a full budget, a step budget at half the real drain, and an
 // alloc budget at half the real drain, with every observable compared
 // byte-exactly (output, error text, kill reason, budget drain, heap
 // checksum).
@@ -220,11 +217,9 @@ func TestEngineParityExceptionHeavy(t *testing.T) {
 			}
 
 			const full = 50_000_000
-			ref := runSession(t, mod, prep, comp, driver.EngineReference, full, full)
-			compareSessions(t, driver.EnginePrepared,
-				ref, runSession(t, mod, prep, comp, driver.EnginePrepared, full, full))
+			ref := runSession(t, mod, comp, driver.EngineReference, full, full)
 			compareSessions(t, driver.EngineCompiled,
-				ref, runSession(t, mod, prep, comp, driver.EngineCompiled, full, full))
+				ref, runSession(t, mod, comp, driver.EngineCompiled, full, full))
 			if c.wantErr && ref.err == nil {
 				t.Fatal("expected the guest to die of an uncaught exception")
 			}
@@ -238,21 +233,17 @@ func TestEngineParityExceptionHeavy(t *testing.T) {
 			// Mid-run kills: the kill must land on the same instruction in
 			// every engine even while unwinding through handlers.
 			if half := ref.steps / 2; half > 0 {
-				refK := runSession(t, mod, prep, comp, driver.EngineReference, half, full)
-				compareSessions(t, driver.EnginePrepared,
-					refK, runSession(t, mod, prep, comp, driver.EnginePrepared, half, full))
+				refK := runSession(t, mod, comp, driver.EngineReference, half, full)
 				compareSessions(t, driver.EngineCompiled,
-					refK, runSession(t, mod, prep, comp, driver.EngineCompiled, half, full))
+					refK, runSession(t, mod, comp, driver.EngineCompiled, half, full))
 				if rt.KillReason(refK.err) != "step_limit" {
 					t.Errorf("expected a step-limit kill at %d steps, got %v", half, refK.err)
 				}
 			}
 			if half := ref.allocs / 2; half > 0 {
-				refK := runSession(t, mod, prep, comp, driver.EngineReference, full, half)
-				compareSessions(t, driver.EnginePrepared,
-					refK, runSession(t, mod, prep, comp, driver.EnginePrepared, full, half))
+				refK := runSession(t, mod, comp, driver.EngineReference, full, half)
 				compareSessions(t, driver.EngineCompiled,
-					refK, runSession(t, mod, prep, comp, driver.EngineCompiled, full, half))
+					refK, runSession(t, mod, comp, driver.EngineCompiled, full, half))
 				if rt.KillReason(refK.err) != "alloc_limit" {
 					t.Errorf("expected an alloc-limit kill at %d allocs, got %v", half, refK.err)
 				}
@@ -261,15 +252,15 @@ func TestEngineParityExceptionHeavy(t *testing.T) {
 	}
 }
 
-// TestEnginePartityCorpus is the budget-parity property test over the
-// full corpus: for every unit, unoptimized and optimized, the prepared
-// and compiled engines must drain exactly the same step and alloc
-// budget as the reference evaluator, print the same bytes, and leave an
-// identical reachable heap. Each unit is then re-run under a step
-// budget set to half its full drain and an alloc budget set to half its
-// full drain, so the budget-kill paths of all three engines are
-// compared too — the guest-kill metrics must not shift when the default
-// engine changes.
+// TestEngineParityCorpus is the budget-parity property test over the
+// full corpus: for every unit, unoptimized and optimized, the compiled
+// engine must drain exactly the same step and alloc budget as the
+// reference evaluator, print the same bytes, and leave an identical
+// reachable heap. Each unit is then re-run under a step budget set to
+// half its full drain and an alloc budget set to half its full drain,
+// so the budget-kill paths of both engines are compared too — the
+// guest-kill metrics must not shift between the oracle and the served
+// engine.
 func TestEngineParityCorpus(t *testing.T) {
 	for _, u := range corpus.Units() {
 		u := u
@@ -299,10 +290,8 @@ func TestEngineParityCorpus(t *testing.T) {
 					}
 
 					const full = 50_000_000
-					ref := runSession(t, mod, prep, comp, driver.EngineReference, full, full)
-					pre := runSession(t, mod, prep, comp, driver.EnginePrepared, full, full)
-					cmp := runSession(t, mod, prep, comp, driver.EngineCompiled, full, full)
-					compareSessions(t, driver.EnginePrepared, ref, pre)
+					ref := runSession(t, mod, comp, driver.EngineReference, full, full)
+					cmp := runSession(t, mod, comp, driver.EngineCompiled, full, full)
 					compareSessions(t, driver.EngineCompiled, ref, cmp)
 					if ref.err != nil {
 						t.Fatalf("corpus unit failed under full budget: %v", ref.err)
@@ -310,10 +299,8 @@ func TestEngineParityCorpus(t *testing.T) {
 
 					// Step-kill parity at half the real drain.
 					if half := ref.steps / 2; half > 0 {
-						refK := runSession(t, mod, prep, comp, driver.EngineReference, half, full)
-						preK := runSession(t, mod, prep, comp, driver.EnginePrepared, half, full)
-						cmpK := runSession(t, mod, prep, comp, driver.EngineCompiled, half, full)
-						compareSessions(t, driver.EnginePrepared, refK, preK)
+						refK := runSession(t, mod, comp, driver.EngineReference, half, full)
+						cmpK := runSession(t, mod, comp, driver.EngineCompiled, half, full)
 						compareSessions(t, driver.EngineCompiled, refK, cmpK)
 						if rt.KillReason(refK.err) != "step_limit" {
 							t.Errorf("expected a step-limit kill at %d steps, got %v", half, refK.err)
@@ -322,10 +309,8 @@ func TestEngineParityCorpus(t *testing.T) {
 
 					// Alloc-kill parity at half the real drain.
 					if half := ref.allocs / 2; half > 0 {
-						refK := runSession(t, mod, prep, comp, driver.EngineReference, full, half)
-						preK := runSession(t, mod, prep, comp, driver.EnginePrepared, full, half)
-						cmpK := runSession(t, mod, prep, comp, driver.EngineCompiled, full, half)
-						compareSessions(t, driver.EnginePrepared, refK, preK)
+						refK := runSession(t, mod, comp, driver.EngineReference, full, half)
+						cmpK := runSession(t, mod, comp, driver.EngineCompiled, full, half)
 						compareSessions(t, driver.EngineCompiled, refK, cmpK)
 						if rt.KillReason(refK.err) != "alloc_limit" {
 							t.Errorf("expected an alloc-limit kill at %d allocs, got %v", half, refK.err)

@@ -20,12 +20,10 @@ type Loader struct {
 
 	classes map[core.TypeID]*rt.ClassInfo
 	exc     rt.ExcClasses
-	// prep, when non-nil, switches the session to the prepared register
-	// machine: every function body (static initializers included) runs
-	// through runPrepared instead of the reference CST walker.
-	prep *Prepared
 	// comp, when non-nil, switches the session to the closure-threaded
-	// compiled engine; it takes precedence over prep.
+	// compiled engine: every function body (static initializers
+	// included) runs through its thunk chains instead of the reference
+	// CST walker.
 	comp *Compiled
 	// cfree and afree are the compiled engine's per-session free lists
 	// for invocation frames and call-argument buffers (see getFrame in
@@ -81,9 +79,9 @@ func LoadTrusted(mod *core.Module, env *rt.Env) (*Loader, error) {
 // stream's terminal error; every function invocation passes through it,
 // so execution proceeds exactly as far as verified code exists and a
 // mid-stream failure aborts the run with the stream's error. The
-// session runs on the reference CST engine: the prepared and compiled
-// engines need the complete function list at load time, which is the
-// opposite of the point.
+// session runs on the reference CST engine: the compiled engine needs
+// the complete function list at load time, which is the opposite of the
+// point.
 func LoadTrustedStreaming(mod *core.Module, gate func(fi int) error, env *rt.Env) (*Loader, error) {
 	l, err := loadCommon(mod, env)
 	if err != nil {
@@ -195,9 +193,6 @@ func (l *Loader) call(fi int32, args []rt.Value) rt.Value {
 	}
 	if l.comp != nil {
 		return l.runCompiled(l.comp.Funcs[fi], args)
-	}
-	if l.prep != nil {
-		return l.runPrepared(l.prep.Funcs[fi], args)
 	}
 	return l.callFunc(l.Mod.Funcs[fi], args)
 }

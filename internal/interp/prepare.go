@@ -7,9 +7,10 @@ import (
 	"safetsa/internal/rt"
 )
 
-// This file is the load-time half of the prepared execution engine: a
-// one-shot compilation of a decoded, verified module into a dense
-// register-machine form. The paper observes that SafeTSA's
+// This file is the validated lowering that Compile consumes: a one-shot
+// compilation of a decoded, verified module into a dense
+// register-machine form, which is never executed itself — Compile fuses
+// it into the closure-threaded engine. The paper observes that SafeTSA's
 // dominator-relative (l, r) operand pairs can be mapped onto a flat
 // virtual-register file while decoding, so the consumer never pays
 // tree-walking cost at execution time; our wire decoder already resolves
@@ -23,9 +24,9 @@ import (
 // int32(v). The reference evaluator's frame stores value v at
 // vals[v] (a slice of NumValues()+1), so the prepared register file is
 // the same array layout — slot 0 doubles as a scratch register that
-// absorbs the results of void instructions, which lets the evaluator
-// write regs[in.Dst] unconditionally instead of branching on "has
-// result".
+// absorbs the results of void instructions, which lets the compiled
+// thunks write regs[in.Dst] unconditionally instead of branching on
+// "has result".
 //
 // Prepare runs strictly after the verifier on an immutable module and
 // performs no re-verification; it does, however, bounds-check every
@@ -169,9 +170,9 @@ type PFunc struct {
 	Code    []PreparedInst
 }
 
-// Prepared is the register-machine form of a module. Like the module it
-// was prepared from it is immutable after Prepare returns and may be
-// shared by any number of concurrent execution sessions.
+// Prepared is the register-machine form of a module, the input of
+// Compile. Like the module it was prepared from it is immutable after
+// Prepare returns.
 type Prepared struct {
 	Funcs []*PFunc // parallel to Module.Funcs
 	// Insts is the total prepared instruction count (for diagnostics

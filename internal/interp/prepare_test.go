@@ -20,14 +20,20 @@ func compile(t *testing.T, src string) *core.Module {
 	return mod
 }
 
-func runPreparedMain(t *testing.T, mod *core.Module) string {
+// runLoweredMain lowers mod through Prepare and runs main on the
+// compiled engine built from that lowering.
+func runLoweredMain(t *testing.T, mod *core.Module) string {
 	t.Helper()
 	prep, err := interp.Prepare(mod)
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
+	comp, err := interp.Compile(mod, prep)
+	if err != nil {
+		t.Fatalf("compile backend: %v", err)
+	}
 	var out bytes.Buffer
-	l, err := interp.LoadTrustedPrepared(mod, prep, &rt.Env{Out: &out, MaxSteps: 10_000_000})
+	l, err := interp.LoadTrustedCompiled(mod, comp, &rt.Env{Out: &out, MaxSteps: 10_000_000})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -40,10 +46,10 @@ func runPreparedMain(t *testing.T, mod *core.Module) string {
 // TestPrepareOperandResolution drives the (l, r)→flat-register mapping
 // through programs whose operands live at different dominator depths
 // and whose phis merge values from different predecessor blocks. Each
-// case must (a) prepare without error, (b) print the same bytes on the
-// prepared engine as the source dictates, and (c) satisfy the slot
-// invariant: register indices are the SSA value ids, bounded by
-// NumValues()+1.
+// case must (a) prepare without error, (b) print the bytes the source
+// dictates on the compiled engine built from the lowering, and (c)
+// satisfy the slot invariant: register indices are the SSA value ids,
+// bounded by NumValues()+1.
 func TestPrepareOperandResolution(t *testing.T) {
 	cases := []struct {
 		name string
@@ -146,8 +152,8 @@ class Main {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			mod := compile(t, tc.src)
-			if got := runPreparedMain(t, mod); got != tc.want {
-				t.Errorf("prepared output %q, want %q", got, tc.want)
+			if got := runLoweredMain(t, mod); got != tc.want {
+				t.Errorf("compiled output %q, want %q", got, tc.want)
 			}
 
 			prep, err := interp.Prepare(mod)

@@ -9,12 +9,12 @@ import (
 )
 
 // evalPrim evaluates one non-trapping primitive operation. It is shared
-// by the reference CST walker and the prepared register machine, so the
-// two engines cannot drift on arithmetic. The four trapping division
-// primitives (PIDiv/PIRem/PLDiv/PLRem) must have their zero-divisor
-// check performed by the caller before this is reached; here they
-// assume a non-zero divisor. Unary operations ignore b (the prepared
-// engine passes the scratch register).
+// by the reference CST walker and the compiled engine's long-tail
+// primitive thunks, so the two engines cannot drift on arithmetic. The
+// four trapping division primitives (PIDiv/PIRem/PLDiv/PLRem) must have
+// their zero-divisor check performed by the caller before this is
+// reached; here they assume a non-zero divisor. Unary operations ignore
+// b (the compiled engine passes the scratch register).
 func (l *Loader) evalPrim(p core.PrimOp, a, b rt.Value) rt.Value {
 	i32a, i32b := a.Int(), b.Int()
 	switch p {

@@ -33,22 +33,26 @@ import (
 
 // LoadTrustedDeferred is loadCommon plus engine binding, with static
 // initialization left to the caller (RunStaticInit): the session exists
-// but has executed no guest code. comp takes precedence over prep; both
-// nil selects the reference CST walker — mirroring LoadTrusted /
-// LoadTrustedPrepared / LoadTrustedCompiled, which are equivalent to
-// this followed immediately by RunStaticInit.
+// but has executed no guest code. A non-nil comp binds the compiled
+// engine; with comp nil, a non-nil prep is compiled here (Compile(mod,
+// prep)) and bound the same way, so a caller holding only the prepared
+// lowering still runs on the served engine; both nil selects the
+// reference CST walker. LoadTrusted and LoadTrustedCompiled are
+// equivalent to this followed immediately by RunStaticInit.
 func LoadTrustedDeferred(mod *core.Module, prep *Prepared, comp *Compiled, env *rt.Env) (*Loader, error) {
+	if comp == nil && prep != nil {
+		var err error
+		if comp, err = Compile(mod, prep); err != nil {
+			return nil, err
+		}
+	}
 	if comp != nil && len(comp.Funcs) != len(mod.Funcs) {
 		return nil, fmt.Errorf("interp: compiled form does not match module")
-	}
-	if comp == nil && prep != nil && len(prep.Funcs) != len(mod.Funcs) {
-		return nil, fmt.Errorf("interp: prepared form does not match module")
 	}
 	l, err := loadCommon(mod, env)
 	if err != nil {
 		return nil, err
 	}
-	l.prep = prep
 	l.comp = comp
 	return l, nil
 }
@@ -61,7 +65,6 @@ func LoadTrustedDeferred(mod *core.Module, prep *Prepared, comp *Compiled, env *
 // NewSession calls.
 type Snapshot struct {
 	mod  *core.Module
-	prep *Prepared
 	comp *Compiled
 
 	// classes is a detached class table holding the frozen statics: it
@@ -123,7 +126,6 @@ func (l *Loader) Snapshot(initOut []byte) (*Snapshot, error) {
 	copyStatics(l.classes, detached.classes)
 	s := &Snapshot{
 		mod:        l.Mod,
-		prep:       l.prep,
 		comp:       l.comp,
 		classes:    detached.classes,
 		initOut:    append([]byte(nil), initOut...),
@@ -165,7 +167,7 @@ func (s *Snapshot) Admits(maxSteps, maxAlloc int64) bool {
 // the object-id cursor restored so identity hashes continue exactly
 // where a fresh session's would.
 func (s *Snapshot) NewSession(env *rt.Env) (*Loader, error) {
-	l, err := LoadTrustedDeferred(s.mod, s.prep, s.comp, env)
+	l, err := LoadTrustedDeferred(s.mod, nil, s.comp, env)
 	if err != nil {
 		return nil, err
 	}

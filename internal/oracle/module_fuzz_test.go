@@ -147,7 +147,7 @@ func moduleSeedModules(f *testing.F) [][]byte {
 // FuzzModulePasses fuzzes the interprocedural-optimizer oracle: every
 // byte string that passes wire admission must survive the full
 // module-level pipeline with the consumer verifier accepting each
-// intermediate state, stay in canonical wire form, pass three-engine
+// intermediate state, stay in canonical wire form, pass engine
 // parity before and after, and — kills aside — print the same bytes,
 // fail the same way, and leave the same reachable heap as the
 // untransformed module. Run by CI as a fuzz-smoke job and, through the
@@ -226,7 +226,7 @@ func TestModuleDifferentialSeeds(t *testing.T) {
 
 // TestModuleParityCorpusSweep holds the interprocedural oracle over the
 // whole paper corpus: every unit at every optimizer tier — opt-off,
-// intraprocedural, module-level — must pass three-engine parity, and
+// intraprocedural, module-level — must pass engine parity, and
 // the module-level form must match the opt-off baseline observable for
 // observable.
 func TestModuleParityCorpusSweep(t *testing.T) {
@@ -248,7 +248,7 @@ func TestModuleParityCorpusSweep(t *testing.T) {
 			if _, err := driver.OptimizeModule(mod); err != nil {
 				t.Fatal(err)
 			}
-			if err := oracle.PreparedDifferential(wire.EncodeModule(mod), budgets); err != nil {
+			if err := oracle.EngineDifferential(wire.EncodeModule(mod), budgets); err != nil {
 				t.Fatal(err)
 			}
 		})

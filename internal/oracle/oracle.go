@@ -18,9 +18,9 @@
 //     evaluator, the optimized SafeTSA evaluator, and the wire round
 //     trip must print identical output for the same program.
 //   - Execution-engine equivalence: every admissible module behaves
-//     identically on the reference CST evaluator, the prepared register
-//     machine, and the closure-threaded compiled engine — output,
-//     errors, budget drain, kill reason, and final heap.
+//     identically on the reference CST evaluator and the
+//     closure-threaded compiled engine — output, errors, budget drain,
+//     kill reason, and final heap.
 //
 // Every function returns nil for "behaved as specified" (including clean
 // rejections of bad input) and a descriptive error for an invariant
@@ -245,16 +245,15 @@ type engineRun struct {
 	err error
 }
 
-// PreparedDifferential is the execution-engine equivalence oracle: any
+// EngineDifferential is the execution-engine equivalence oracle: any
 // byte string that decodes and verifies (i.e. passes wire admission)
-// must behave identically on the reference CST evaluator, the prepared
-// register machine, and the closure-threaded compiled engine —
-// byte-identical output, identical error text and KillReason, identical
-// cumulative step/alloc budget drain, and an identical final
-// reachable-heap checksum. A verified module that fails to Prepare or
-// Compile is itself a violation: both lowerings are total on admissible
-// modules.
-func PreparedDifferential(data []byte, b Budgets) error {
+// must behave identically on the reference CST evaluator and the
+// closure-threaded compiled engine — byte-identical output, identical
+// error text and KillReason, identical cumulative step/alloc budget
+// drain, and an identical final reachable-heap checksum. A verified
+// module that fails to Prepare or Compile is itself a violation: both
+// lowerings are total on admissible modules.
+func EngineDifferential(data []byte, b Budgets) error {
 	mod, err := wire.DecodeModule(data)
 	if err != nil {
 		return nil // clean rejection, same contract as CheckWire
@@ -266,9 +265,9 @@ func PreparedDifferential(data []byte, b Budgets) error {
 	return err
 }
 
-// engineParity runs a verified module on all three engines, holds the
-// prepared and compiled sessions to the reference session bit-exactly,
-// and returns the reference session for further comparison.
+// engineParity runs a verified module on both engines, holds the
+// compiled session to the reference session bit-exactly, and returns
+// the reference session for further comparison.
 func engineParity(mod *core.Module, b Budgets) (*engineRun, error) {
 	prep, err := interp.Prepare(mod)
 	if err != nil {
@@ -278,39 +277,66 @@ func engineParity(mod *core.Module, b Budgets) (*engineRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oracle: prepared module fails to compile: %w", err)
 	}
-	b = b.orDefaults()
+	ref := runSession(mod, b, func(env *rt.Env) (*interp.Loader, error) {
+		return interp.LoadTrusted(mod, env)
+	})
+	got := runSession(mod, b, func(env *rt.Env) (*interp.Loader, error) {
+		return interp.LoadTrustedCompiled(mod, comp, env)
+	})
+	return ref, compareEngineRuns(driver.EngineCompiled, ref, got)
+}
 
-	run := func(engine string) *engineRun {
-		r := &engineRun{}
-		r.env = b.newEnv(&r.out)
-		switch engine {
-		case driver.EnginePrepared:
-			r.l, r.err = interp.LoadTrustedPrepared(mod, prep, r.env)
-		case driver.EngineCompiled:
-			r.l, r.err = interp.LoadTrustedCompiled(mod, comp, r.env)
-		default:
-			r.l, r.err = interp.LoadTrusted(mod, r.env)
-		}
-		if r.err != nil || mod.Entry < 0 {
-			return r
-		}
-		r.err = r.l.RunMain()
+// runSession loads mod through load (which must leave static init done)
+// under fresh budgets and runs main.
+func runSession(mod *core.Module, b Budgets, load func(*rt.Env) (*interp.Loader, error)) *engineRun {
+	r := &engineRun{}
+	r.env = b.orDefaults().newEnv(&r.out)
+	r.l, r.err = load(r.env)
+	if r.err != nil || mod.Entry < 0 {
 		return r
 	}
-	ref := run(driver.EngineReference)
-	for _, engine := range []string{driver.EnginePrepared, driver.EngineCompiled} {
-		if err := compareEngineRuns(engine, ref, run(engine)); err != nil {
-			return ref, err
-		}
+	r.err = r.l.RunMain()
+	return r
+}
+
+// DeferredDifferential is EngineDifferential for a session bound from
+// the prepared lowering alone: LoadTrustedDeferred(mod, prep, nil, env)
+// compiles the lowering at bind time and the caller runs static init
+// itself, as a traced replay does. That session must match the reference
+// session bit-exactly on the same observables.
+func DeferredDifferential(data []byte, b Budgets) error {
+	mod, err := wire.DecodeModule(data)
+	if err != nil {
+		return nil // clean rejection, same contract as CheckWire
 	}
-	return ref, nil
+	if err := mod.Verify(core.VerifyOptions{}); err != nil {
+		return fmt.Errorf("oracle: decoded module rejected by verifier: %w", err)
+	}
+	prep, err := interp.Prepare(mod)
+	if err != nil {
+		return fmt.Errorf("oracle: verified module fails to prepare: %w", err)
+	}
+	ref := runSession(mod, b, func(env *rt.Env) (*interp.Loader, error) {
+		return interp.LoadTrusted(mod, env)
+	})
+	got := runSession(mod, b, func(env *rt.Env) (*interp.Loader, error) {
+		l, err := interp.LoadTrustedDeferred(mod, prep, nil, env)
+		if err != nil {
+			return nil, err
+		}
+		if err := l.RunStaticInit(); err != nil {
+			return nil, err
+		}
+		return l, nil
+	})
+	return compareEngineRuns("deferred "+driver.EngineCompiled, ref, got)
 }
 
 // ModuleDifferential is the interprocedural-optimizer oracle: any byte
-// string that decodes and verifies must (a) pass three-engine parity as
-// it arrived, (b) survive the full module-level pipeline with the
+// string that decodes and verifies must (a) pass engine parity as it
+// arrived, (b) survive the full module-level pipeline with the
 // verifier accepting every intermediate state, (c) still be in canonical
-// wire form afterwards, (d) pass three-engine parity again, and (e) —
+// wire form afterwards, (d) pass engine parity again, and (e) —
 // when neither session was killed by a budget — print the same bytes,
 // fail with the same error, and leave the same reachable heap as the
 // untransformed module. Budget drain is deliberately not compared across

@@ -15,7 +15,7 @@ import (
 // post-static-init snapshot must be observationally identical — printed
 // output, error text, kill reason, cumulative step/alloc budget drain,
 // and final reachable-heap checksum — to a fresh session that ran the
-// initializers itself, on every execution engine. It also holds the
+// initializers itself, on both execution engines. It also holds the
 // snapshot's publish-time self-verification (Verify) to its contract: a
 // snapshot taken from a successful init must always verify.
 //
@@ -41,31 +41,20 @@ func PooledDifferential(data []byte, b Budgets) error {
 	}
 	b = b.orDefaults()
 
-	engines := []struct {
-		name string
-		prep *interp.Prepared
-		comp *interp.Compiled
-	}{
-		{driver.EngineReference, nil, nil},
-		{driver.EnginePrepared, prep, nil},
-		{driver.EngineCompiled, nil, comp},
+	if err := pooledEngineCheck(mod, driver.EngineReference, nil, b); err != nil {
+		return err
 	}
-	for _, e := range engines {
-		if err := pooledEngineCheck(mod, e.name, e.prep, e.comp, b); err != nil {
-			return err
-		}
-	}
-	return nil
+	return pooledEngineCheck(mod, driver.EngineCompiled, comp, b)
 }
 
 // pooledEngineCheck runs the fresh/build/clone trio on one engine and
 // compares every observable.
-func pooledEngineCheck(mod *core.Module, engine string, prep *interp.Prepared, comp *interp.Compiled, b Budgets) error {
+func pooledEngineCheck(mod *core.Module, engine string, comp *interp.Compiled, b Budgets) error {
 	// Fresh baseline: the fused load-and-init path every earlier PR
 	// shipped (init + main in one session).
 	fresh := &engineRun{}
 	fresh.env = b.newEnv(&fresh.out)
-	fresh.l, fresh.err = interp.LoadTrustedDeferred(mod, prep, comp, fresh.env)
+	fresh.l, fresh.err = interp.LoadTrustedDeferred(mod, nil, comp, fresh.env)
 	if fresh.err == nil {
 		fresh.err = fresh.l.RunStaticInit()
 	}
@@ -93,7 +82,7 @@ func pooledEngineCheck(mod *core.Module, engine string, prep *interp.Prepared, c
 	// one was consumed as the snapshot builder).
 	ref := &engineRun{}
 	ref.env = b.newEnv(&ref.out)
-	ref.l, ref.err = interp.LoadTrustedDeferred(mod, prep, comp, ref.env)
+	ref.l, ref.err = interp.LoadTrustedDeferred(mod, nil, comp, ref.env)
 	if ref.err == nil {
 		ref.err = ref.l.RunStaticInit()
 		if ref.err == nil && mod.Entry >= 0 {

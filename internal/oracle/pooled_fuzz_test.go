@@ -154,7 +154,7 @@ func pooledSeedModules(f *testing.F) [][]byte {
 // for every byte string that passes wire admission, a session cloned
 // from a post-static-init snapshot must be byte-exact with a fresh
 // session (output, error, kill reason, budget drain, heap checksum) on
-// all three engines, and snapshots must pass their publish-time
+// both engines, and snapshots must pass their publish-time
 // self-verification. Run by CI as a fuzz-smoke job and, through the
 // checked-in testdata/fuzz corpus, on every plain `go test`.
 func FuzzPooledDifferential(f *testing.F) {
@@ -231,7 +231,7 @@ func TestPooledDifferentialSeeds(t *testing.T) {
 }
 
 // TestPooledParityCorpusSweep holds the pooled-session oracle over the
-// whole paper corpus on all three engines: every corpus unit, optimized
+// whole paper corpus on both engines: every corpus unit, optimized
 // and not, must serve byte-exact clones.
 func TestPooledParityCorpusSweep(t *testing.T) {
 	budgets := oracle.Budgets{MaxSteps: 1 << 22, MaxAlloc: 1 << 24}

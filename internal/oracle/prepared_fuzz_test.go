@@ -1,10 +1,6 @@
 package oracle_test
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"testing"
 
 	"safetsa/internal/corpus"
@@ -13,112 +9,18 @@ import (
 	"safetsa/internal/wire"
 )
 
-// preparedSeedSources are hand-written programs aimed at the prepared
-// compiler's hard cases: operands resolved across deep dominator
-// chains, phi-heavy loop nests (including a parallel-move swap), and
-// programs that die on the step or allocation budget mid-loop so the
-// two engines' kill points must coincide exactly.
-var preparedSeedSources = map[string]string{
-	"deep_dominator_chain": `
-class Main {
-    static void main() {
-        int a = 1;
-        if (a > 0) {
-            int b = a + 1;
-            if (b > 1) {
-                int c = b * 2;
-                if (c > 3) {
-                    int d = c - a;
-                    if (d > 2) {
-                        int e = d * b;
-                        if (e > 5) {
-                            System.out.println(a + b + c + d + e);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}`,
-	"phi_heavy_loops": `
-class Main {
-    static void main() {
-        int a = 0;
-        int b = 1;
-        int s = 0;
-        for (int i = 0; i < 25; i++) {
-            int t = a + b;
-            a = b;
-            b = t;
-            int j = 0;
-            while (j < 3) {
-                s = s + (t % 7);
-                j = j + 1;
-            }
-        }
-        System.out.println(a);
-        System.out.println(s);
-    }
-}`,
-	"budget_kill_steps": `
-class Main {
-    static void main() {
-        int i = 0;
-        long s = 0L;
-        while (i >= 0) {
-            s = s + i;
-            i = i + 1;
-            if (i > 1000000000) { i = 0; }
-        }
-        System.out.println(s);
-    }
-}`,
-	"budget_kill_allocs": `
-class Main {
-    static void main() {
-        int i = 0;
-        while (i < 1000000000) {
-            int[] a = new int[64];
-            a[0] = i;
-            i = i + a.length;
-        }
-        System.out.println(i);
-    }
-}`,
-	"exceptions_across_frames": `
-class Main {
-    static int depth(int n) {
-        if (n == 0) { throw new Exception("bottom"); }
-        try {
-            return depth(n - 1);
-        } catch (Exception e) {
-            if (n % 3 == 0) { throw new Exception("re" + n); }
-            return n;
-        }
-    }
-    static void main() {
-        try {
-            System.out.println(depth(10));
-        } catch (Exception e) {
-            System.out.println("top " + e.getMessage());
-        }
-        int d = 0;
-        try {
-            System.out.println(10 / d);
-        } catch (Exception e) {
-            System.out.println("div " + e.getMessage());
-        }
-    }
-}`,
+// preparedSeedNames are the compiledSeedSources entries aimed at the
+// prepared lowering's hard cases (deep dominator chains, phi-heavy loop
+// nests, budget kills mid-loop, exceptions across frames), in the order
+// their seeds are added to FuzzPreparedDifferential.
+var preparedSeedNames = []string{
+	"deep_dominator_chain", "phi_heavy_loops", "budget_kill_steps",
+	"budget_kill_allocs", "exceptions_across_frames",
 }
 
-// fuzzBudgets is deliberately small: the budget-kill seeds must die on
-// budget with room to spare inside the 30s CI smoke window.
-var fuzzBudgets = oracle.Budgets{MaxSteps: 1 << 16, MaxAlloc: 1 << 18}
-
-// seedModules compiles every prepared seed (and a few generated fuzz
-// programs), optimized and not, into wire bytes.
-func seedModules(f *testing.F) [][]byte {
+// preparedSeedModules compiles every prepared seed (and a few generated
+// fuzz programs), optimized and not, into wire bytes.
+func preparedSeedModules(f *testing.F) [][]byte {
 	f.Helper()
 	var seeds [][]byte
 	add := func(files map[string]string) {
@@ -132,11 +34,8 @@ func seedModules(f *testing.F) [][]byte {
 		}
 		seeds = append(seeds, wire.EncodeModule(mod))
 	}
-	for _, name := range []string{
-		"deep_dominator_chain", "phi_heavy_loops", "budget_kill_steps",
-		"budget_kill_allocs", "exceptions_across_frames",
-	} {
-		add(map[string]string{"Main.tj": preparedSeedSources[name]})
+	for _, name := range preparedSeedNames {
+		add(map[string]string{"Main.tj": compiledSeedSources[name]})
 	}
 	for _, seed := range []string{"p0", "p1"} {
 		add(corpus.GenerateFuzz(seed, 4, 3))
@@ -144,79 +43,43 @@ func seedModules(f *testing.F) [][]byte {
 	return seeds
 }
 
-// FuzzPreparedDifferential fuzzes the prepared-engine equivalence
-// oracle: every byte string that passes wire admission must behave
-// identically on the reference evaluator and the prepared register
-// machine (output, error, kill reason, budget drain, heap checksum).
-// Run by CI both as a 30s fuzz-smoke job and, through the checked-in
-// testdata/fuzz corpus, on every plain `go test`.
+// FuzzPreparedDifferential fuzzes the deferred-binding oracle: every
+// byte string that passes wire admission must behave identically on the
+// reference evaluator and on a session bound from the prepared lowering
+// alone (LoadTrustedDeferred with no compiled form, static init run by
+// the caller). The checked-in testdata/fuzz corpus replays on every
+// plain `go test`.
 func FuzzPreparedDifferential(f *testing.F) {
-	for _, s := range seedModules(f) {
+	for _, s := range preparedSeedModules(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			t.Skip("oversized input")
 		}
-		if err := oracle.PreparedDifferential(data, fuzzBudgets); err != nil {
+		if err := oracle.DeferredDifferential(data, fuzzBudgets); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
-// TestWritePreparedSeedCorpus regenerates the checked-in seed corpus
-// under testdata/fuzz/FuzzPreparedDifferential (replayed by every plain
-// `go test` run). Set SAFETSA_WRITE_SEEDS=1 to rewrite the files after
-// changing the seed programs or the wire format.
-func TestWritePreparedSeedCorpus(t *testing.T) {
-	if os.Getenv("SAFETSA_WRITE_SEEDS") == "" {
-		t.Skip("set SAFETSA_WRITE_SEEDS=1 to regenerate the seed corpus")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzPreparedDifferential")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	names := make([]string, 0, len(preparedSeedSources))
-	for name := range preparedSeedSources {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	write := func(name string, data []byte) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, name := range names {
-		mod, err := driver.CompileTSASource(map[string]string{"Main.tj": preparedSeedSources[name]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		write("seed_"+name, wire.EncodeModule(mod))
-		if _, err := driver.OptimizeModule(mod); err != nil {
-			t.Fatal(err)
-		}
-		write("seed_"+name+"_opt", wire.EncodeModule(mod))
-	}
-}
-
-// TestPreparedDifferentialSeeds replays the seed set directly (without
-// the fuzz driver), so the equivalence claims hold in every ordinary
-// test run, not only under -fuzz.
+// TestPreparedDifferentialSeeds replays the prepared seed set directly
+// (without the fuzz driver), so the deferred-binding parity holds in
+// every ordinary test run, not only under -fuzz.
 func TestPreparedDifferentialSeeds(t *testing.T) {
-	for name, src := range preparedSeedSources {
+	for _, name := range preparedSeedNames {
 		t.Run(name, func(t *testing.T) {
-			mod, err := driver.CompileTSASource(map[string]string{"Main.tj": src})
+			mod, err := driver.CompileTSASource(map[string]string{"Main.tj": compiledSeedSources[name]})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := oracle.PreparedDifferential(wire.EncodeModule(mod), fuzzBudgets); err != nil {
+			if err := oracle.DeferredDifferential(wire.EncodeModule(mod), fuzzBudgets); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := driver.OptimizeModule(mod); err != nil {
 				t.Fatal(err)
 			}
-			if err := oracle.PreparedDifferential(wire.EncodeModule(mod), fuzzBudgets); err != nil {
+			if err := oracle.DeferredDifferential(wire.EncodeModule(mod), fuzzBudgets); err != nil {
 				t.Fatal(err)
 			}
 		})
