@@ -5,10 +5,11 @@
 //	         [-o out.tsa] [-dump] file.tj...
 //
 // -O runs the intraprocedural producer-side optimizations (constant
-// propagation, CSE with the Mem variable, DCE / check elimination)
-// before encoding. -O2 adds the interprocedural tier on top: CHA/RTA
-// devirtualization of monomorphic xdispatch sites, inlining of small
-// non-recursive callees, and flow-based null/bounds-check elimination.
+// propagation, CSE with the Mem variable, which also removes redundant
+// null and bounds checks, then DCE) before encoding. -O2 adds the
+// interprocedural tier on top: CHA/RTA devirtualization of monomorphic
+// xdispatch sites and inlining of small non-recursive callees, followed
+// by a cleanup constprop+CSE+DCE round.
 //
 // -wire selects the wire format: 1 is the fixed-code v1 stream, 2 the
 // adaptive range-coded v2 stream. -dict supplies a shared dictionary
@@ -75,8 +76,7 @@ func main() {
 				st.ArrayChecksBefore, st.ArrayChecksAfter)
 			if *moduleOpt {
 				fmt.Fprintf(os.Stderr,
-					"devirtualized %d, inlined %d, checks elided %d, exception edges pruned %d\n",
-					st.Devirtualized, st.Inlined, st.ChecksElided, st.ExcEdgesPruned)
+					"devirtualized %d, inlined %d\n", st.Devirtualized, st.Inlined)
 			}
 		}
 	}

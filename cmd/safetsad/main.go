@@ -8,7 +8,7 @@
 //	         [-units N] [-modules N] [-maxsteps N] [-maxallocs N]
 //	         [-run-timeout D] [-tenant-inflight N] [-pool-units N]
 //	         [-stagetimeout D] [-traces N] [-debug-addr ADDR]
-//	         [-module-opt] [-wire-version 1|2] [-drain D]
+//	         [-wire-version 1|2] [-drain D]
 //	         [-node NAME -peers NAME=URL,... [-vnodes N] [-gossip D]
 //	          [-hot-threshold N] [-hot-window D] [-replicas N]]
 //
@@ -88,8 +88,6 @@ func main() {
 	stageTimeout := flag.Duration("stagetimeout", 30*time.Second, "per-stage compile timeout (0 = none)")
 	traces := flag.Int("traces", 64, "request traces retained for /debug/traces")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
-	moduleOpt := flag.Bool("module-opt", false,
-		"upgrade optimizing compiles to the interprocedural tier (devirtualization, inlining, check elimination)")
 	wireVersion := flag.Int("wire-version", 0,
 		"wire format for newly encoded units: 1 fixed-code, 2 adaptive (0 = v1); part of the cache key")
 	drain := flag.Duration("drain", 10*time.Second, "max time to drain in-flight runs on shutdown")
@@ -117,7 +115,6 @@ func main() {
 		TenantMaxInFlight: *tenantInFlight,
 		PoolUnits:         *poolUnits,
 		Traces:            *traces,
-		ModuleOpt:         *moduleOpt,
 		WireVersion:       *wireVersion,
 		NodeName:          *node,
 	})

@@ -196,8 +196,6 @@ type JSONModuleOpt struct {
 	PassDeltas     []JSONPassDelta    `json:"pass_deltas"`
 	Devirtualized  int                `json:"devirtualized"`
 	Inlined        int                `json:"inlined"`
-	ChecksElided   int                `json:"checks_elided"`
-	ExcEdgesPruned int                `json:"exc_edges_pruned"`
 	Rows           []JSONModuleRunRow `json:"rows"`
 	GeomeanSpeedup float64            `json:"geomean_speedup"`
 }
@@ -218,8 +216,10 @@ type JSONModuleOpt struct {
 // made the run comparison two-way, because the prepared evaluator was
 // deleted: prepared_nanos, compiled_speedup and geomean_compiled_speedup
 // are gone, and "speedup"/"geomean_speedup" changed meaning from
-// reference-over-prepared to reference-over-compiled.
-const jsonSchema = "safetsa-bench-v9"
+// reference-over-prepared to reference-over-compiled; v10 dropped
+// checks_elided and exc_edges_pruned from "module_opt", because the
+// check-elimination pass that counted them was deleted.
+const jsonSchema = "safetsa-bench-v10"
 
 // Report assembles the machine-readable report from measured rows.
 func Report(rows []Row) JSONReport {
@@ -309,8 +309,6 @@ func FormatJSONTimed(rows []Row, tm *StageTimings, rc *RunComparison, wp *WarmPo
 			BestOf:         mo.BestOf,
 			Devirtualized:  mo.Devirtualized,
 			Inlined:        mo.Inlined,
-			ChecksElided:   mo.ChecksElided,
-			ExcEdgesPruned: mo.ExcEdgesPruned,
 			GeomeanSpeedup: mo.GeomeanSpeedup,
 		}
 		for _, d := range mo.PassDeltas {

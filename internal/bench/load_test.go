@@ -16,7 +16,7 @@ import (
 // codeserver with a fixed request quota and pins the replay contract:
 // every request is accounted, the mix approximates the configured 80/20
 // run/compile split, the run stage has a real latency distribution, and
-// the archived report is valid safetsa-bench-v9 JSON.
+// the archived report is valid safetsa-bench-v10 JSON.
 func TestRunLoadReplay(t *testing.T) {
 	srv, err := codeserver.New(codeserver.Config{})
 	if err != nil {
@@ -104,8 +104,8 @@ func TestRunLoadReplay(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != "safetsa-bench-v9" {
-		t.Errorf("schema %q, want safetsa-bench-v9", rep.Schema)
+	if rep.Schema != "safetsa-bench-v10" {
+		t.Errorf("schema %q, want safetsa-bench-v10", rep.Schema)
 	}
 	if rep.Load == nil {
 		t.Fatal("report lacks the load block")

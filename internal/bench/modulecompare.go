@@ -36,17 +36,15 @@ type ModuleRunRow struct {
 
 // ModuleOptComparison aggregates the interprocedural-tier measurement
 // over the corpus: what each pass did to the instruction count, what
-// the new passes found (devirtualized sites, inlined calls, elided
-// checks, pruned exception edges), and what the merged bodies buy at
-// run time against the paper's measured intraprocedural configuration.
+// the new passes found (devirtualized sites, inlined calls), and what
+// the merged bodies buy at run time against the paper's measured
+// intraprocedural configuration.
 type ModuleOptComparison struct {
 	BestOf     int
 	PassDeltas []PassDelta
 
-	Devirtualized  int
-	Inlined        int
-	ChecksElided   int
-	ExcEdgesPruned int
+	Devirtualized int
+	Inlined       int
 
 	Rows           []ModuleRunRow
 	GeomeanSpeedup float64
@@ -88,8 +86,6 @@ func MeasureModuleOpt() (*ModuleOptComparison, error) {
 		}
 		mc.Devirtualized += st.Devirtualized
 		mc.Inlined += st.Inlined
-		mc.ChecksElided += st.ChecksElided
-		mc.ExcEdgesPruned += st.ExcEdgesPruned
 
 		intra, _, err := driver.CompileTSASourceOpt(u.Files)
 		if err != nil {

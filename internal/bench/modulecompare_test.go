@@ -25,7 +25,7 @@ func TestMeasureModuleOptShape(t *testing.T) {
 				d.Pass, d.InstrsBefore, d.InstrsAfter)
 		}
 	}
-	for _, want := range []string{"devirt", "inline", "checkelim", "dce2"} {
+	for _, want := range []string{"devirt", "inline", "dce2"} {
 		if !names[want] {
 			t.Errorf("pass %q missing from the delta block", want)
 		}

@@ -46,8 +46,8 @@ func TestMeasureAllTimedCounts(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != "safetsa-bench-v9" {
-		t.Errorf("schema = %q, want safetsa-bench-v9", rep.Schema)
+	if rep.Schema != "safetsa-bench-v10" {
+		t.Errorf("schema = %q, want safetsa-bench-v10", rep.Schema)
 	}
 	if len(rep.Latencies) != len(sums) {
 		t.Errorf("report carries %d latency stages, want %d", len(rep.Latencies), len(sums))

@@ -341,7 +341,7 @@ func TestFleetStatsGossip(t *testing.T) {
 
 // TestFleetLoadReplay is acceptance for the load generator against the
 // cluster: a zipfian 80/20 run/compile replay sprayed over all three
-// nodes completes without errors and emits a valid safetsa-bench-v9
+// nodes completes without errors and emits a valid safetsa-bench-v10
 // report with a real run-latency distribution.
 func TestFleetLoadReplay(t *testing.T) {
 	f := newFleet(t, []string{"a1", "b2", "c3"}, nil)
@@ -388,8 +388,8 @@ func TestFleetLoadReplay(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
-	if rep.Schema != "safetsa-bench-v9" {
-		t.Errorf("schema %q, want safetsa-bench-v9", rep.Schema)
+	if rep.Schema != "safetsa-bench-v10" {
+		t.Errorf("schema %q, want safetsa-bench-v10", rep.Schema)
 	}
 	if rep.Load == nil || rep.Load.Latencies["run"].P50Nanos <= 0 || rep.Load.Latencies["run"].P99Nanos <= 0 {
 		t.Errorf("archived run latencies not populated: %+v", rep.Load)

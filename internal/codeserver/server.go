@@ -66,12 +66,6 @@ type Config struct {
 	// Traces bounds the ring buffer of recent request traces served by
 	// /debug/traces (<=0: 64).
 	Traces int
-	// ModuleOpt upgrades every optimizing compile to the interprocedural
-	// tier (CHA/RTA devirtualization, inlining, flow-based check
-	// elimination): requests asking for Optimize get ModuleOpt too. The
-	// tier participates in the content hash, so units built either way
-	// remain distinct.
-	ModuleOpt bool
 	// NodeName identifies this server inside a fleet: it labels every
 	// Prometheus series and the stats snapshot. Empty for single-node
 	// deployments (no label, historical wire shape).
@@ -210,13 +204,9 @@ func (s *Server) CompileUnit(ctx context.Context, files map[string]string, opts 
 	ctx, tr := s.tracer.StartTrace(ctx, "compile")
 	defer tr.Finish()
 	s.m.compileRequests.Add(1)
-	// Normalize the tier before hashing: a server configured for the
-	// interprocedural tier upgrades every optimizing request, and
-	// ModuleOpt always implies Optimize. Hashing the normalized form
-	// keeps one canonical key per effective pipeline.
-	if s.cfg.ModuleOpt && opts.Optimize {
-		opts.ModuleOpt = true
-	}
+	// Normalize the tier before hashing: ModuleOpt always implies
+	// Optimize. Hashing the normalized form keeps one canonical key per
+	// effective pipeline.
 	if opts.ModuleOpt {
 		opts.Optimize = true
 	}

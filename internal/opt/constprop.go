@@ -24,39 +24,7 @@ func constProp(m *core.Module, f *core.Func) int {
 				}
 			}
 		}
-		var dead []*core.Instr
-		for _, b := range f.Blocks {
-			// phi(x, x, ..., x) -> x when x's definition structurally
-			// dominates the phi's block (which keeps the result
-			// expressible as an (l, r) reference).
-			for _, phi := range b.Phis {
-				// Trivial-phi removal: operands that are the phi itself
-				// (loop-invariant variables produce phi(x, self)) are
-				// ignored; a phi whose remaining operands agree on a
-				// single value collapses to it.
-				x := core.NoValue
-				trivial := true
-				for _, a := range phi.Args {
-					if a == phi.ID {
-						continue
-					}
-					if x == core.NoValue {
-						x = a
-					} else if a != x {
-						trivial = false
-						break
-					}
-				}
-				if !trivial || x == core.NoValue {
-					continue
-				}
-				def := f.DefBlock(x)
-				if def != nil && def != b && def.Dominates(b) {
-					repl[phi.ID] = x
-					dead = append(dead, phi)
-				}
-			}
-		}
+		dead := trivialPhis(f, repl)
 		folded := 0
 		for _, b := range f.Blocks {
 			for _, in := range b.Code {
@@ -88,6 +56,41 @@ func constProp(m *core.Module, f *core.Func) int {
 	}
 	_ = m
 	return changed
+}
+
+// trivialPhis finds every phi(x, x, ..., x) whose x is defined in a
+// block that structurally dominates the phi's block (which keeps the
+// result expressible as an (l, r) reference), records phi -> x in repl
+// and returns the phis. Operands that are the phi itself (loop-invariant
+// variables produce phi(x, self)) are ignored.
+func trivialPhis(f *core.Func, repl map[core.ValueID]core.ValueID) []*core.Instr {
+	var dead []*core.Instr
+	for _, b := range f.Blocks {
+		for _, phi := range b.Phis {
+			x := core.NoValue
+			trivial := true
+			for _, a := range phi.Args {
+				if a == phi.ID {
+					continue
+				}
+				if x == core.NoValue {
+					x = a
+				} else if a != x {
+					trivial = false
+					break
+				}
+			}
+			if !trivial || x == core.NoValue {
+				continue
+			}
+			def := f.DefBlock(x)
+			if def != nil && def != b && def.Dominates(b) {
+				repl[phi.ID] = x
+				dead = append(dead, phi)
+			}
+		}
+	}
+	return dead
 }
 
 // foldPrim evaluates a non-throwing primitive whose operands are all

@@ -329,6 +329,21 @@ func cse(m *core.Module, f *core.Func, o Options) int {
 
 	// Phi operands and CST references see the replacements too.
 	replaceUses(f, repl)
+	// Merging a phi's operands can leave it trivial (phi(a, b) with b
+	// replaced by a). Collapse those here, so the pipeline needs no
+	// second constant-propagation round to collect them.
+	for {
+		repl := make(map[core.ValueID]core.ValueID)
+		dead := trivialPhis(f, repl)
+		if len(dead) == 0 {
+			break
+		}
+		for _, in := range dead {
+			removeInstr(in)
+		}
+		replaceUses(f, repl)
+		removed += len(dead)
+	}
 	_ = m
 	return removed
 }

@@ -358,76 +358,10 @@ class Main {
 	})
 }
 
-// TestCheckElimination pins the flow-based tier: witness phis at joins
-// and exception-edge pruning by range reasoning.
-func TestCheckElimination(t *testing.T) {
-	t.Run("diamond-witness-merge", func(t *testing.T) {
-		// a[2] is checked in both arms of the diamond; the check
-		// after the join can reuse a phi of the two witnesses. The
-		// null call at the end pins that eliding checks never elides
-		// the exception.
-		src := `
-class Main {
-    static int f(int[] a, boolean p) {
-        int x = 0;
-        if (p) { x = a[2]; } else { x = a[2] + 1; }
-        return x + a[2];
-    }
-    static void main() {
-        int[] a = new int[5];
-        a[2] = 40;
-        System.out.println(f(a, true));
-        System.out.println(f(a, false));
-        System.out.println(f(null, true));
-    }
-}`
-		_, st := runBoth(t, src)
-		if st.ChecksElided == 0 {
-			t.Error("join-point check not merged into a witness phi")
-		}
-	})
-	t.Run("const-bounds-prunes-exception-edge", func(t *testing.T) {
-		// new int[5] indexed at constants in range: the accesses
-		// provably cannot throw, so handler edges are pruned while the
-		// check instructions stay as the safe-plane witnesses. Two
-		// sites feed the handler because the pruner refuses to remove
-		// a handler's last incoming edge while it still carries phis.
-		src := `
-class Main {
-    static void main() {
-        int[] a = new int[5];
-        a[2] = 7;
-        int r = 0;
-        try { r = a[2] + a[3]; } catch (IndexOutOfBoundsException e) { r = -1; }
-        System.out.println(r);
-    }
-}`
-		_, st := runBoth(t, src)
-		if st.ExcEdgesPruned == 0 {
-			t.Error("provably in-bounds access kept its exception edge")
-		}
-	})
-	t.Run("const-divisor-prunes-exception-edge", func(t *testing.T) {
-		src := `
-class Main {
-    static void main() {
-        int x = 84;
-        int r = 0;
-        try { r = x / 2; } catch (ArithmeticException e) { r = -1; }
-        System.out.println(r);
-    }
-}`
-		_, st := runBoth(t, src)
-		if st.ExcEdgesPruned == 0 {
-			t.Error("division by a non-zero constant kept its exception edge")
-		}
-	})
-}
-
 // TestModulePipelineCombinesTiers checks the pipeline end to end on a
 // dispatch-heavy hierarchy: devirtualization feeds the inliner, and the
-// merged bodies expose check-elimination opportunities, all while the
-// consumer verifier stays green after every pass.
+// cleanup round runs over the merged bodies, all while the consumer
+// verifier stays green after every pass.
 func TestModulePipelineCombinesTiers(t *testing.T) {
 	src := `
 class Counter {

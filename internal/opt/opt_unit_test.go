@@ -245,3 +245,30 @@ class Main {
 		t.Fatalf("division semantics lost: %q %v", out, err)
 	}
 }
+
+// TestCSECollapsesPhisItMakesTrivial: CSE merges the two arms' a+b into
+// one value, leaving phi(x, x) at the join. The pipeline has no
+// constant-propagation round after CSE, so CSE must collapse that phi
+// itself or it ships in the unit.
+func TestCSECollapsesPhisItMakesTrivial(t *testing.T) {
+	mod := compiled(t, `
+class Main {
+    static int f(int a, int b, boolean p) {
+        int x = a + b;
+        int y = 0;
+        if (p) { y = a + b; } else { y = x; }
+        return y * 2;
+    }
+    static void main() {
+        System.out.println(f(3, 4, true) + f(5, 6, false));
+    }
+}`)
+	opt.Optimize(mod)
+	if n := countOp(mod, core.OpPhi); n != 0 {
+		t.Fatalf("%d phis left after -O, want 0 (the join's phi(x, x) collapses)\n%s", n, mod.Dump())
+	}
+	out, err := driver.RunModule(mod, 1_000_000)
+	if err != nil || out != "36\n" {
+		t.Fatalf("output %q %v, want 36", out, err)
+	}
+}

@@ -18,8 +18,11 @@ import (
 // analysis can prove a dispatch monomorphic (and where it must not),
 // dispatch-heavy loops through a common root, recursive callees the
 // inliner must refuse, small throwing callees whose exception edges get
-// stitched into the caller's handlers, and diamonds whose join-point
-// checks merge into witness phis.
+// stitched into the caller's handlers, diamonds that check the same
+// element on both arms and after the join, and a try body of several
+// throwing sites whose handler carries phis: the producer must keep one
+// exception edge, and so one handler phi operand, per site, because the
+// consumer re-derives an edge for every can-throw site inside a try.
 var moduleSeedSources = map[string]string{
 	"branching_hierarchy": `
 class Shape { int area() { return 0; } int tag() { return 1; } }
@@ -95,6 +98,16 @@ class Main {
         System.out.println(r);
         System.out.println(pick(a, 2) + div(84, 2));
     }
+}`,
+	"handler_phi_divisions": `
+class Main {
+    static int f(int x) {
+        int r = 0;
+        try { r = x / 2; r = r + 1; r = r / 3; r = r + 5; r = r / 7; }
+        catch (ArithmeticException e) { return r; }
+        return r;
+    }
+    static void main() { System.out.println(f(84)); }
 }`,
 	"witness_diamond": `
 class Main {

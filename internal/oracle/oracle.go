@@ -146,8 +146,8 @@ func OptimizePerPass(mod *core.Module) (opt.Stats, error) {
 }
 
 // OptimizeModulePerPass runs the full interprocedural pipeline
-// (devirtualization, inlining, check elimination on top of the
-// intraprocedural passes) under the same per-pass verification.
+// (devirtualization and inlining on top of the intraprocedural passes,
+// then a cleanup round) under the same per-pass verification.
 func OptimizeModulePerPass(mod *core.Module) (opt.Stats, error) {
 	return RunPassesVerifiedOptions(mod, opt.Options{ModuleLevel: true}, opt.ModulePipeline())
 }
